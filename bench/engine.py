@@ -5,11 +5,13 @@
 
 ``replay`` prints ``ready`` once homectx is imported, then replays the
 trace once with ``ingest.replay`` on an empty store and prints one JSON
-line with the counts, commands, wall and CPU time and the duration of
-every ``handle_reading`` call (the in-process ack).  ``serve`` installs the
-tracing wrappers, runs ``homectx serve`` through ``cli.main`` and writes
-its spans when SIGINT ends the server.  An untraced server is started as
-``python3 -m homectx.cli serve`` instead, the way an operator starts it.
+line with the counts, commands, wall and CPU time, peak memory, the
+duration of every ``handle_reading`` call (the in-process ack) and the
+wall and CPU clocks before every ``CHUNK``-th reading and at the end of
+the pass.  ``serve`` installs the tracing wrappers, runs ``homectx serve``
+through ``cli.main`` and writes its spans when SIGINT ends the server.  An
+untraced server is started as ``python3 -m homectx.cli serve`` instead,
+the way an operator starts it.
 
 The caller puts the repository's ``src`` on PYTHONPATH.
 """
@@ -18,10 +20,44 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
 import tracing
+
+CHUNK = 100     # readings between two clock marks of a replay pass
+
+
+def peak_rss_mb(pid="self") -> float:
+    """Peak resident memory of a process since its exec (VmHWM), in MB.
+
+    wait4's ru_maxrss does not do: Linux carries the parent's peak into the
+    child at exec, so it would report the benchmark's own memory.
+    """
+    with open(f"/proc/{pid}/status", encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0    # the field is in kB
+    raise RuntimeError(f"no VmHWM for process {pid}")
+
+
+def cpu_s(pid) -> float:
+    """CPU seconds the live threads of a running process have used so far.
+
+    Summed from each thread's schedstat, which counts nanoseconds; the
+    process-wide stat counts 10 ms clock ticks, too coarse for a window of
+    a few seconds.
+    """
+    total = 0
+    task_dir = f"/proc/{pid}/task"
+    for tid in os.listdir(task_dir):
+        try:
+            with open(f"{task_dir}/{tid}/schedstat", encoding="ascii") as fh:
+                total += int(fh.read().split()[0])
+        except FileNotFoundError:
+            pass        # the thread ended since the listing
+    return total / 1e9
 
 
 def cmd_replay(args) -> int:
@@ -33,10 +69,13 @@ def cmd_replay(args) -> int:
         tracer = tracing.Tracer()
         tracing.install(tracer)
     ack_ns: list[int] = []
+    marks: list[tuple[int, int]] = []     # (wall ns, CPU ns)
     handle = ingest.ContextEngine.handle_reading
-    clock = time.perf_counter_ns
+    clock, cpu_clock = time.perf_counter_ns, time.process_time_ns
 
     def timed(self, msg):
+        if len(ack_ns) % CHUNK == 0:
+            marks.append((clock(), cpu_clock()))
         start = clock()
         result = handle(self, msg)
         ack_ns.append(clock() - start)
@@ -47,12 +86,15 @@ def cmd_replay(args) -> int:
     store = TripleStore()
     wall, cpu = time.perf_counter(), time.process_time()
     stats = ingest.replay(args.trace, store=store)
+    marks.append((clock(), cpu_clock()))
     result = {"wall_s": time.perf_counter() - wall,
               "cpu_s": time.process_time() - cpu,
               "input_count": stats.input_count,
               "stored_count": stats.stored_count,
               "commands": stats.commands,
-              "ack_ns": ack_ns}
+              "peak_rss_mb": peak_rss_mb(),
+              "ack_ns": ack_ns,
+              "marks": marks}
     if tracer is not None:
         tracer.dump(args.spans, store_triples=len(store))
     print(json.dumps(result), flush=True)

@@ -97,8 +97,8 @@ def _label(second: int) -> str:
     return f"{second // 3600:02d}{second % 3600 // 60:02d}{second % 60:02d}"
 
 
-def mixed_schedule(seed: int, seconds: int, persons: tuple, rate: int = 2000,
-                   streams: int = 10, tick_rate: int = 4) -> MixedSchedule:
+def mixed_schedule(seed: int, seconds: int, persons: tuple, rate: int = 500,
+                   streams: int = 10, tick_rate: int = 2) -> MixedSchedule:
     """Readings from ``streams`` streams at ``rate``/s and ticks at ``tick_rate``/s.
 
     One lead-in round at 00:00:00 gives every stream its first stored

@@ -110,11 +110,12 @@ def _decode(raw: bytes):
         return {"type": "undecodable", "raw": raw.decode("utf-8", "replace")}
 
 
-def run(streams: list, lead_s: float = 0.05) -> float:
+def run(streams: list, lead_s: float = 0.05, probe=None, probe_at=()) -> float:
     """Drive every stream to completion; returns the start time t0.
 
     Requests are due at ``t0 + due``.  Gives up DRAIN_S after the last send
-    and leaves unanswered requests without reply times.
+    and leaves unanswered requests without reply times.  ``probe`` is
+    called once ``t0 + at`` has passed, for each ``at`` in ``probe_at``.
     """
     sel = selectors.DefaultSelector()
     for st in streams:
@@ -123,18 +124,22 @@ def run(streams: list, lead_s: float = 0.05) -> float:
     t0 = time.perf_counter() + lead_s
     last_due = max((st.due[-1] for st in streams if st.due), default=0.0)
     give_up = t0 + last_due + DRAIN_S
+    probes = [t0 + at for at in probe_at]
     try:
         while True:
             now = time.perf_counter()
             for st in streams:
                 st.queue_due(now, t0)
+            while probes and probes[0] <= now:
+                probes.pop(0)
+                probe()
             if all(st.done for st in streams) or now > give_up:
                 break
             pending = [st.next_due for st in streams if st.next_due is not None]
             if any(st.backlogged for st in streams):
                 timeout = 0.0005
             elif pending:
-                wait = t0 + min(pending) - now
+                wait = min([t0 + min(pending), *probes[:1]]) - now
                 timeout = 0 if wait < SPIN_S else wait - SPIN_S / 2
             else:
                 timeout = 0.05

@@ -13,8 +13,8 @@ homectx is imported from its ``src``.  Workloads (see BENCHMARK.json):
 - ``live-ingest``: ``homectx serve`` on the packaged fixture; one
   connection sends a gen_trace-style trace open loop at 5000 readings/s.
 - ``live-mixed``: ``homectx serve`` on a generated 100-person home;
-  connection A sends readings open loop at 2000/s (one presence change a
-  second, at scheduled activity times), connection B ticks at 4/s.
+  connection A sends readings open loop at 500/s (one presence change a
+  second, at scheduled activity times), connection B ticks at 2/s.
 
 Every output is checked against an in-process ``ingest.replay`` of the same
 readings over the same home data; a wrong or missing answer is a failed
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import shutil
@@ -46,19 +47,21 @@ ROOT = BENCH.parent
 SRC = ROOT / "src"
 
 import gen  # noqa: E402  (the benchmark's own modules sit beside this file)
+from engine import CHUNK, cpu_s, peak_rss_mb  # noqa: E402
 import loadgen  # noqa: E402
 import tracing  # noqa: E402
 
 WORKLOADS = ("replay", "live-ingest", "live-mixed")
 SETUP_LAUNCHES = 9          # engine launches per run at least; setup_s is their median
 INGEST_RATE = 5000          # readings/s on live-ingest
-MIXED_RATE = 2000           # readings/s on live-mixed, connection A
-TICK_RATE = 4               # ticks/s on live-mixed, connection B
+MIXED_RATE = 500            # readings/s on live-mixed, connection A
+TICK_RATE = 2               # ticks/s on live-mixed, connection B
 MIXED_PERSONS = 100
 MIXED_PRESENT = 30          # persons present in each of the home's environment records
 SCALING = ((10, 5), (100, 3), (300, 2))   # (persons, reason_at calls)
 STREAMS = 10
 WARMUP_S = 1                # live schedules start with this much unmeasured (but checked) load
+CPU_WINDOW_S = 1            # live server CPU is sampled at this interval of the schedule
 HELLO = b'{"type":"hello","stream":"bench"}\n'
 
 # The final JSON line carries exactly these, by run mode; everything else
@@ -140,8 +143,8 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 class Engine:
     """A homectx process started by the benchmark, always reaped.
 
-    Reaping goes through ``os.wait4`` so the process's own peak memory and
-    CPU time are known afterwards.
+    Reaping goes through ``os.wait4`` so the process's CPU time is known
+    afterwards; ``stop`` reads its peak memory just before ending it.
     """
 
     def __init__(self, argv, workdir: Path, stdout=subprocess.DEVNULL):
@@ -151,6 +154,7 @@ class Engine:
             self.proc = subprocess.Popen(argv, cwd=ROOT, env=ENV, stdout=stdout,
                                          stderr=err)
         self.rusage = None
+        self.peak_rss_mb = None
 
     def _reap(self, block: bool) -> bool:
         if self.rusage is not None:
@@ -171,6 +175,10 @@ class Engine:
 
     def stop(self, timeout: float = 20.0) -> None:
         if self.alive:
+            try:
+                self.peak_rss_mb = peak_rss_mb(self.proc.pid)
+            except (OSError, RuntimeError):
+                pass        # ended on its own meanwhile
             self.proc.send_signal(signal.SIGINT)
             deadline = time.monotonic() + timeout
             while self.alive and time.monotonic() < deadline:
@@ -180,10 +188,6 @@ class Engine:
         self._reap(block=True)
         if self.proc.stdout:
             self.proc.stdout.close()
-
-    @property
-    def peak_rss_mb(self) -> float:
-        return self.rusage.ru_maxrss / 1024.0   # ru_maxrss is in KiB on Linux
 
     @property
     def cpu_s(self) -> float:
@@ -348,6 +352,30 @@ def _load_lines(path: Path) -> list:
         return [line for line in fh if line.strip()]
 
 
+def best_chunks(passes):
+    """Replay time per reading at the machine's least contended speed.
+
+    The host is shared, so a pass runs at whatever speed the other tenants
+    leave it, and that speed swings by half within seconds.  Every pass
+    replays the same trace, so each chunk of CHUNK readings is timed in every
+    pass and counted at its fastest: a slower program makes every chunk
+    slower in every pass, while a busy neighbour slows only some.  The
+    median over chunks then leaves out the few chunks where a reading was
+    stored or reasoning ran.  Returns the median chunk's wall and CPU
+    seconds per reading and its median ack (s).
+    """
+    chunks = {len(p["marks"]) - 1 for p in passes}
+    if len(chunks) != 1:
+        raise RuntimeError(f"replay passes have different chunk counts {sorted(chunks)}")
+    walls, cpus, acks = [], [], []
+    for i in range(chunks.pop()):
+        walls.append(min(p["marks"][i + 1][0] - p["marks"][i][0] for p in passes))
+        cpus.append(min(p["marks"][i + 1][1] - p["marks"][i][1] for p in passes))
+        acks.append(min(statistics.median(p["ack_ns"][i * CHUNK:(i + 1) * CHUNK])
+                        for p in passes))
+    return tuple(statistics.median(ns) / 1e9 for ns in (walls, cpus, acks))
+
+
 def run_replay(seed, seconds, trace, workdir, corrupt_reference=False) -> Result:
     from homectx import cli
 
@@ -397,21 +425,16 @@ def run_replay(seed, seconds, trace, workdir, corrupt_reference=False) -> Result
     while len(passes) < SETUP_LAUNCHES or time.perf_counter() - start < seconds:
         engine, setup, p = run_engine()
         setups.append(setup)
-        rss.append(engine.peak_rss_mb)
+        rss.append(p["peak_rss_mb"])
         passes.append(p)
     errors = [e for n, p in enumerate(passes) for e in check_pass(f"pass {n}", p)]
     ack_ms = [ns / 1e6 for p in passes for ns in p["ack_ns"]]
-    # The machine's speed drifts over seconds, so time figures are means over
-    # the passes: a median (even of pooled samples) jumps between fast and
-    # slow stretches instead of following the drift.
+    chunk_wall_s, chunk_cpu_s, ack_s = best_chunks(passes)
     metrics = {
         "setup_s": (_median(setups), len(setups)),
-        "readings_per_s": (sum(p["input_count"] for p in passes)
-                           / sum(p["wall_s"] for p in passes), len(passes)),
-        "ack_p50_ms": (statistics.fmean(tracing.percentile(p["ack_ns"], 0.5) / 1e6
-                                        for p in passes), len(ack_ms)),
-        "cpu_us_per_reading": (sum(p["cpu_s"] for p in passes) * 1e6
-                               / sum(p["input_count"] for p in passes), len(passes)),
+        "readings_per_s": (CHUNK / chunk_wall_s, len(passes)),
+        "ack_p50_ms": (ack_s * 1e3, len(ack_ms)),
+        "cpu_us_per_reading": (chunk_cpu_s * 1e6 / CHUNK, len(passes)),
         "peak_rss_mb": (_median(rss), len(rss)),
     }
     _add_pcts(metrics, "ack", ack_ms, (0.9,))
@@ -419,8 +442,9 @@ def run_replay(seed, seconds, trace, workdir, corrupt_reference=False) -> Result
     notes = [f"input: gen_trace {STREAMS} streams x 3600 s, 20 events, "
              f"{manifest['lines']} lines; replayed closed loop, one pass in each of "
              f"{len(passes)} engine processes",
-             "ack: in-process, from handle_reading's call to its return; "
-             "ack_p50_ms is the mean of the passes' medians"]
+             "ack: in-process, from handle_reading's call to its return",
+             f"time figures: each {CHUNK}-reading chunk of the trace at its fastest "
+             f"pass of {len(passes)}, then the median over chunks"]
     attempted = manifest["lines"] * len(passes)
     if trace:
         spans_path = workdir / "replay.spans"
@@ -481,10 +505,22 @@ def run_live(name, seed, seconds, trace, workdir, corrupt_reference=False) -> Re
     reply_lines = [1 + len(cmds) for _, cmds in reference]
     tick_lines = len(gen.APPLIANCES)
 
+    # server CPU is read at the edges of equal windows of the measured schedule
+    window = min(CPU_WINDOW_S, seconds / 2)
+    edges = [WARMUP_S + k * window for k in range(math.ceil(seconds / window))]
+
     def drive(argv):
-        """One server under load; returns (engine, streams, t0, setup seconds)."""
+        """One server under load; returns (engine, streams, t0, setup seconds, CPU samples)."""
         engine, sock_a, port, setup = launch_server(argv, Path(home_path), workdir)
         socks = [sock_a]
+        samples = []
+
+        def probe():
+            try:
+                samples.append(cpu_s(engine.proc.pid))
+            except (OSError, IndexError, ValueError):
+                samples.append(None)    # the server has gone; the gate reports it
+
         try:
             streams = [loadgen.Stream(sock_a, due, payloads, reply_lines)]
             if ticks:
@@ -494,12 +530,12 @@ def run_live(name, seed, seconds, trace, workdir, corrupt_reference=False) -> Re
                 streams.append(loadgen.Stream(sock_b, [d for d, _ in ticks],
                                               [p for _, p in ticks],
                                               [tick_lines] * len(ticks)))
-            t0 = loadgen.run(streams)
+            t0 = loadgen.run(streams, probe=probe, probe_at=edges)
         finally:
             for s in socks:
                 s.close()
             engine.stop()
-        return engine, streams, t0, setup
+        return engine, streams, t0, setup, samples
 
     def outcome(streams, t0):
         """Gate every request; returns (metrics, failures)."""
@@ -532,25 +568,22 @@ def run_live(name, seed, seconds, trace, workdir, corrupt_reference=False) -> Re
         metrics["bench.generator_lag_p90_ms"] = (tracing.percentile(lag, 0.9), len(lag))
         return metrics, errors, tick_ms
 
-    setups, setup_cpu = [], []
+    setups = []
     for _ in range(SETUP_LAUNCHES - 1):
         engine, sock, _, setup = launch_server(untraced_server(), Path(home_path), workdir)
         sock.close()
         engine.stop()
         setups.append(setup)
-        setup_cpu.append(engine.cpu_s)
-    engine, streams, t0, setup = drive(untraced_server())
+    engine, streams, t0, setup, samples = drive(untraced_server())
     setups.append(setup)
     metrics, errors, _ = outcome(streams, t0)
     metrics["setup_s"] = (_median(setups), len(setups))
     metrics["peak_rss_mb"] = (engine.peak_rss_mb, 1)
-    # the server's CPU under load: its whole life minus what a launch alone costs
-    metrics["cpu_us_per_reading"] = (
-        (engine.cpu_s - _median(setup_cpu)) / len(payloads) * 1e6, len(payloads))
+    metrics["cpu_us_per_reading"] = (window_cpu_us(samples, window * rate), len(samples) - 1)
     attempted = len(payloads) + len(ticks)
     if trace:
         spans_path = workdir / "live.spans"
-        traced_engine, traced_streams, traced_t0, _ = drive(traced_server(spans_path))
+        traced_engine, traced_streams, traced_t0, _, _ = drive(traced_server(spans_path))
         _, traced_errors, tick_ms = outcome(traced_streams, traced_t0)
         errors += traced_errors
         attempted += len(payloads) + len(ticks)
@@ -567,6 +600,19 @@ def run_live(name, seed, seconds, trace, workdir, corrupt_reference=False) -> Re
         notes.append("tracing overhead: server CPU traced over untraced, same schedule")
     metrics["failed_ratio"] = (len(errors) / attempted, attempted)
     return Result(name, metrics, attempted, len(errors), notes, errors)
+
+
+def window_cpu_us(samples, readings: float):
+    """Server CPU microseconds per reading, from CPU read at window edges.
+
+    Every window of the open-loop schedule offers the same load, and the
+    host's other tenants slow some windows more than others, so the figure
+    is the median window's CPU over the readings due in a window.  None
+    when a sample is missing.
+    """
+    if len(samples) < 2 or None in samples:
+        return None
+    return statistics.median(b - a for a, b in zip(samples, samples[1:])) / readings * 1e6
 
 
 def reason_scaling(seed: int) -> dict:
