@@ -39,7 +39,7 @@ def _load_store(paths) -> rdf.TripleStore:
 
 
 def _dedup_config(args) -> dedup.DedupConfig:
-    if getattr(args, "thresholds", None):
+    if args.thresholds:
         return dedup.load_threshold_overrides(args.thresholds)
     return dedup.DedupConfig()
 
@@ -254,28 +254,30 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Smart-home context engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, data=True):
-        if data:
-            p.add_argument("--data", action="append", default=[],
-                           metavar="FILE", help="Turtle-subset data file(s)")
+    def add_data(p):
+        p.add_argument("--data", action="append", default=[],
+                       metavar="FILE", help="Turtle-subset data file(s)")
+
+    def add_thresholds(p):
         p.add_argument("--thresholds", metavar="FILE",
                        help="JSON threshold overrides for dedup")
-        p.add_argument("--output", choices=("table", "tsv"), default="table")
 
     p = sub.add_parser("query", help="evaluate a query over data files")
-    add_common(p)
+    add_data(p)
+    p.add_argument("--output", choices=("table", "tsv"), default="table")
     p.add_argument("query", help="query text, or a path to a query file")
 
     p = sub.add_parser("reason", help="emit appliance commands for a time")
-    add_common(p)
+    add_data(p)
     p.add_argument("time", help="time of day as HHMMSS")
 
     p = sub.add_parser("replay", help="run a trace through dedup + reasoning")
-    add_common(p, data=False)
+    add_thresholds(p)
     p.add_argument("trace", help="trace file, one JSON object per line")
 
     p = sub.add_parser("serve", help="run the ingestion TCP server")
-    add_common(p)
+    add_data(p)
+    add_thresholds(p)
     p.add_argument("--port", type=int, default=8765)
 
     p = sub.add_parser("gen-trace", help="generate a synthetic sensor trace")
@@ -287,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("load", help="validate and canonicalize data files")
-    add_common(p)
+    add_data(p)
     return parser
 
 

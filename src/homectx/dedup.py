@@ -1,9 +1,9 @@
 """Sensor-stream deduplication.
 
 A new reading is compared factor-by-factor against the last *stored* reading
-of its stream.  Numeric factors contribute a relative change
-|curr - prev| / max(|prev|, epsilon); categorical factors (presence, date)
-contribute 0 or 1.  The aggregate distance is the Euclidean norm of the
+of its stream, kept by the engine in ``homectx.ingest``.  Numeric factors
+give |curr - prev| / max(|prev|, epsilon); categorical factors (presence,
+date) contribute 0 or 1.  The aggregate distance is the Euclidean norm of the
 per-factor deltas and is reported for logging, but the store/drop verdict is
 per-factor: the reading is stored iff any factor exceeds its threshold.
 """
@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .ontology import EnvironmentReading
 
@@ -129,12 +129,6 @@ def factor_deltas(prev: EnvironmentReading, curr: EnvironmentReading,
     return tuple(out)
 
 
-def distance(prev: EnvironmentReading, curr: EnvironmentReading,
-             cfg: DedupConfig = DedupConfig()) -> float:
-    """Euclidean aggregate of per-factor normalized deltas (baseline-relative)."""
-    return math.sqrt(sum(d.d ** 2 for d in factor_deltas(prev, curr, cfg)))
-
-
 def should_store(baseline: Optional[EnvironmentReading], curr: EnvironmentReading,
                  cfg: DedupConfig = DedupConfig()) -> DedupDecision:
     """Store when there is no baseline, or when any factor exceeds its threshold."""
@@ -148,40 +142,3 @@ def should_store(baseline: Optional[EnvironmentReading], curr: EnvironmentReadin
         reference=baseline.id,
     )
 
-
-@dataclass
-class StreamStats:
-    input_count: int = 0
-    stored_count: int = 0
-
-    @property
-    def reduction_factor(self) -> float:
-        return self.input_count / max(self.stored_count, 1)
-
-
-def filter_stream(readings: Iterable, cfg: DedupConfig = DedupConfig()):
-    """Run the dedup over a timestamp-ordered sequence of readings.
-
-    Items are either EnvironmentReading or (stream_id, EnvironmentReading)
-    pairs; baselines are tracked per stream.  Returns (stored items, stats).
-    """
-    baselines: dict = {}
-    last_stamp: dict = {}
-    stored = []
-    stats = StreamStats()
-    for i, item in enumerate(readings):
-        if isinstance(item, EnvironmentReading):
-            stream, reading = None, item
-        else:
-            stream, reading = item
-        stamp = (reading.date, reading.time.hour, reading.time.minute,
-                 reading.time.second)
-        if stream in last_stamp and stamp < last_stamp[stream]:
-            raise ValueError(f"timestamp order violation at reading {i}")
-        last_stamp[stream] = stamp
-        stats.input_count += 1
-        if should_store(baselines.get(stream), reading, cfg).store:
-            baselines[stream] = reading
-            stored.append(item)
-            stats.stored_count += 1
-    return stored, stats

@@ -10,6 +10,7 @@ set changed).  ``replay`` is the offline equivalent over a trace file.
 from __future__ import annotations
 
 import json
+import math
 import socketserver
 import threading
 from dataclasses import dataclass, field
@@ -101,6 +102,24 @@ def _beats(a: ApplianceCommand, b: ApplianceCommand) -> bool:
     return a.person.written < b.person.written
 
 
+def decode_line(raw: bytes) -> dict | None:
+    """One wire or trace line to a message object; None for a blank line.
+
+    Raises ProtocolError unless the line is UTF-8 JSON holding an object
+    with a ``type``.
+    """
+    try:
+        line = raw.decode("utf-8").strip()
+        if not line:
+            return None
+        msg = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
+        raise ProtocolError(f"bad line: {exc}") from None
+    if not isinstance(msg, dict) or "type" not in msg:
+        raise ProtocolError("message must be an object with a type")
+    return msg
+
+
 def parse_reading_payload(msg: dict) -> tuple[str, EnvironmentReading]:
     """Decode one wire/trace reading object; raises ProtocolError on bad fields."""
     try:
@@ -114,13 +133,23 @@ def parse_reading_payload(msg: dict) -> tuple[str, EnvironmentReading]:
             time=time,
             persons_present=frozenset(home(str(p)) for p in msg.get("present", [])),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        if not all(map(math.isfinite, (reading.humidity, reading.temperature,
+                                       reading.illumination))):
+            raise ValueError("sensor values must be finite numbers")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"bad reading payload: {exc}") from None
     return stream, reading
 
 
+def _rejected(error: str) -> dict:
+    return {"type": "ack", "accepted": False, "stored": False,
+            "distance": 0.0, "error": error}
+
+
 class ContextEngine:
-    """Shared state behind both the TCP server and offline replay.
+    """Shared state behind both the TCP server and offline replay, and the one
+    admission path for readings: per-stream order check, dedup baseline and
+    input/stored counts.
 
     All store writes funnel through one lock; reasoning runs read-only.
     """
@@ -129,21 +158,35 @@ class ContextEngine:
                  cfg: DedupConfig | None = None):
         self.store = store if store is not None else TripleStore()
         self.cfg = cfg if cfg is not None else DedupConfig()
+        self.input_count = 0
+        self.stored_count = 0
         self._baselines: dict[str, EnvironmentReading] = {}
+        self._last_stamp: dict[str, tuple] = {}
         self._lock = threading.Lock()
 
     def handle_reading(self, msg: dict) -> tuple[dict, list[dict]]:
-        """Returns (ack, commands); commands follow the ack on the wire."""
+        """Returns (ack, commands); commands follow the ack on the wire.
+
+        A malformed reading, or one older than the last reading seen on its
+        stream, gets ``accepted: false`` and changes no state.
+        """
         try:
             stream, reading = parse_reading_payload(msg)
         except ProtocolError as exc:
-            return {"type": "ack", "accepted": False, "stored": False,
-                    "distance": 0.0, "error": str(exc)}, []
+            return _rejected(str(exc)), []
+        stamp = (reading.date, reading.time.hour, reading.time.minute,
+                 reading.time.second)
         with self._lock:
+            last = self._last_stamp.get(stream)
+            if last is not None and stamp < last:
+                return _rejected(f"timestamp order violation on stream {stream!r}"), []
+            self._last_stamp[stream] = stamp
+            self.input_count += 1
             baseline = self._baselines.get(stream)
             decision = should_store(baseline, reading, self.cfg)
             commands: list[dict] = []
             if decision.store:
+                self.stored_count += 1
                 for triple in reading_to_triples(reading):
                     self.store.insert(triple)
                 presence_changed = (baseline is None
@@ -168,13 +211,10 @@ class _Handler(socketserver.StreamRequestHandler):
         engine: ContextEngine = self.server.engine
         said_hello = False
         for raw in self.rfile:
-            line = raw.decode("utf-8").strip()
-            if not line:
-                continue
             try:
-                msg = json.loads(line)
-                if not isinstance(msg, dict) or "type" not in msg:
-                    raise ProtocolError("message must be an object with a type")
+                msg = decode_line(raw)
+                if msg is None:
+                    continue
                 kind = msg["type"]
                 if kind == "hello":
                     if said_hello:
@@ -191,7 +231,7 @@ class _Handler(socketserver.StreamRequestHandler):
                         self._send(cmd)
                 else:
                     raise ProtocolError(f"unknown message type {kind!r}")
-            except (json.JSONDecodeError, ProtocolError) as exc:
+            except ProtocolError as exc:
                 self._send({"type": "error", "message": str(exc)})
                 return  # terminate only this connection
 
@@ -233,8 +273,11 @@ def serve(address, store: TripleStore, cfg: DedupConfig | None = None):
 class ReplayStats:
     input_count: int = 0
     stored_count: int = 0
-    commands_emitted: int = 0
     commands: list = field(default_factory=list)
+
+    @property
+    def commands_emitted(self) -> int:
+        return len(self.commands)
 
     @property
     def reduction_factor(self) -> float:
@@ -246,37 +289,23 @@ def replay(trace_path, cfg: DedupConfig | None = None,
     """Offline equivalent of serve over a trace file: same stored triples,
     same command sequence, deterministic."""
     engine = ContextEngine(store, cfg)
-    stats = ReplayStats()
-    last_stamp: dict[str, tuple] = {}
-    with open(trace_path, encoding="utf-8") as fh:
+    commands: list[dict] = []
+    with open(trace_path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
             try:
-                msg = json.loads(line)
-            except json.JSONDecodeError as exc:
+                msg = decode_line(raw)
+                if msg is None:
+                    continue
+                kind = msg["type"]
+                if kind == "reading":
+                    ack, replies = engine.handle_reading(msg)
+                    if not ack["accepted"]:
+                        raise ProtocolError(ack["error"])
+                    commands.extend(replies)
+                elif kind == "tick":
+                    commands.extend(engine.handle_tick(msg))
+                else:
+                    raise ProtocolError(f"unknown trace entry {kind!r}")
+            except ProtocolError as exc:
                 raise TraceError(f"line {lineno}: {exc}") from None
-            kind = msg.get("type")
-            if kind == "reading":
-                try:
-                    stream, reading = parse_reading_payload(msg)
-                except ProtocolError as exc:
-                    raise TraceError(f"line {lineno}: {exc}") from None
-                stamp = (reading.date, reading.time.hour,
-                         reading.time.minute, reading.time.second)
-                if stream in last_stamp and stamp < last_stamp[stream]:
-                    raise TraceError(f"line {lineno}: timestamp order violation "
-                                     f"on stream {stream!r}")
-                last_stamp[stream] = stamp
-                stats.input_count += 1
-                ack, commands = engine.handle_reading(msg)
-                if ack["stored"]:
-                    stats.stored_count += 1
-                stats.commands.extend(commands)
-            elif kind == "tick":
-                stats.commands.extend(engine.handle_tick(msg))
-            else:
-                raise TraceError(f"line {lineno}: unknown trace entry {kind!r}")
-    stats.commands_emitted = len(stats.commands)
-    return stats
+    return ReplayStats(engine.input_count, engine.stored_count, commands)

@@ -73,6 +73,12 @@ class TestLoad:
     def test_missing_file(self, capsys):
         assert main(["load", "--data", "/nonexistent.ttl"]) == 1
 
+    @pytest.mark.parametrize("flag", [["--output", "tsv"], ["--thresholds", "t.json"]])
+    def test_flags_of_other_commands_are_usage_errors(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["load", *fixture_args(), *flag])
+        assert exc.value.code == 2
+
 
 class TestGenTrace:
     def test_counts_and_manifest(self, tmp_path):

@@ -10,19 +10,22 @@ from homectx.dedup import (
     DEFAULT_FACTORS,
     DedupConfig,
     FactorSpec,
-    distance,
     factor_deltas,
-    filter_stream,
     load_threshold_overrides,
     normalized_delta,
     should_store,
 )
+from homectx.ingest import ContextEngine
 from homectx.ontology import EnvironmentReading, TimeOfDay
 from homectx.rdf import home
 
 CFG = DedupConfig()
 TEMP = FactorSpec("temperature", 0.1)
 PRESENCE = FactorSpec("presence", None)
+
+
+def distance(prev, curr, cfg=CFG):
+    return should_store(prev, curr, cfg).distance
 
 
 def reading(temp=20.0, hum=30.0, illum=400.0, persons=(), day=11,
@@ -143,34 +146,54 @@ class TestShouldStore:
             assert should_store(prev, curr, CFG).store is expect
 
 
+def admit(engine, stream, reading):
+    """Send one reading through the engine's admission path; returns the ack."""
+    ack, _ = engine.handle_reading({
+        "type": "reading", "stream": stream, "date": reading.date.isoformat(),
+        "time": reading.time.label, "temperature": reading.temperature,
+        "humidity": reading.humidity, "illumination": reading.illumination,
+        "present": sorted(p.local for p in reading.persons_present)})
+    return ack
+
+
+def filter_with_engine(items):
+    """Dedup (stream, reading) pairs through one ContextEngine; returns
+    (stored pairs, engine)."""
+    engine = ContextEngine(cfg=CFG)
+    stored = [(s, r) for s, r in items if admit(engine, s, r)["stored"]]
+    return stored, engine
+
+
 class TestFilterStream:
     def test_constant_stream_stores_once(self):
-        readings = [reading()] * 100
-        stored, stats = filter_stream(readings, CFG)
-        assert stats.stored_count == 1
-        assert stats.input_count == 100
-        assert stats.reduction_factor == 100
+        stored, engine = filter_with_engine([("s", reading())] * 100)
+        assert engine.stored_count == 1
+        assert engine.input_count == 100
+        assert engine.input_count / engine.stored_count == 100
 
     def test_presence_flapping_stores_everything(self):
-        readings = []
+        items = []
         for i in range(50):
             persons = ("Father",) if i % 2 else ()
-            readings.append(reading(persons=persons,
-                                    time=TimeOfDay(12, i // 60, i % 60)))
-        stored, stats = filter_stream(readings, CFG)
-        assert stats.stored_count == 50
+            items.append(("s", reading(persons=persons,
+                                       time=TimeOfDay(12, i // 60, i % 60))))
+        stored, engine = filter_with_engine(items)
+        assert engine.stored_count == 50
 
     def test_per_stream_baselines(self):
         items = [("a", reading()), ("b", reading(temp=5)),
                  ("a", reading()), ("b", reading(temp=5))]
-        stored, stats = filter_stream(items, CFG)
-        assert stats.stored_count == 2
+        stored, engine = filter_with_engine(items)
+        assert engine.stored_count == 2
         assert [s for s, _ in stored] == ["a", "b"]
 
     def test_timestamp_order_violation(self):
-        items = [reading(time=TimeOfDay(12, 0, 0)), reading(time=TimeOfDay(11, 0, 0))]
-        with pytest.raises(ValueError, match="timestamp order"):
-            filter_stream(items, CFG)
+        engine = ContextEngine(cfg=CFG)
+        assert admit(engine, "s", reading(time=TimeOfDay(12, 0, 0)))["accepted"] is True
+        ack = admit(engine, "s", reading(time=TimeOfDay(11, 0, 0)))
+        assert ack["accepted"] is False
+        assert "timestamp order" in ack["error"]
+        assert engine.input_count == 1
 
     def test_streaming_equals_one_by_one_replay(self):
         rng = random.Random(41)
@@ -181,21 +204,21 @@ class TestFilterStream:
             readings.append(replace(r, date=base + timedelta(days=i // 50),
                                     time=TimeOfDay(i % 24, 0, 0)))
         readings.sort(key=lambda r: (r.date, r.time.hour))
-        stored, _ = filter_stream(readings, CFG)
+        stored, _ = filter_with_engine([("s", r) for r in readings])
         baseline = None
         manual = []
         for r in readings:
             if should_store(baseline, r, CFG).store:
                 manual.append(r)
                 baseline = r
-        assert stored == manual
+        assert [r for _, r in stored] == manual
 
     def test_drift_accumulates_against_stored_baseline(self):
         # 2% steps are each sub-threshold but compound past 10% eventually
-        readings = [reading(temp=20 * (1.02 ** i), time=TimeOfDay(10, 0, i))
-                    for i in range(10)]
-        stored, stats = filter_stream(readings, CFG)
-        assert stats.stored_count > 1
+        items = [("s", reading(temp=20 * (1.02 ** i), time=TimeOfDay(10, 0, i)))
+                 for i in range(10)]
+        stored, engine = filter_with_engine(items)
+        assert engine.stored_count > 1
 
 
 class TestConfig:

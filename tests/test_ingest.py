@@ -3,7 +3,7 @@ import socket
 
 import pytest
 
-from homectx import rdf
+from homectx import ingest, rdf
 from homectx.dedup import DedupConfig
 from homectx.ingest import (
     ContextEngine,
@@ -117,6 +117,18 @@ class TestHandleReading:
         assert ack["stored"] is True
         assert commands == []  # presence unchanged
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400],
+                             ids=["nan", "inf", "huge-int"])
+    def test_non_finite_value_rejected_after_baseline(self, fixture_store, value):
+        engine = ContextEngine(fixture_store)
+        engine.handle_reading(reading_msg())
+        before = set(engine.store)
+        ack, commands = engine.handle_reading(reading_msg(time="180001", temp=value))
+        assert ack["accepted"] is False and "bad reading payload" in ack["error"]
+        assert commands == []
+        assert set(engine.store) == before
+        assert (engine.input_count, engine.stored_count) == (1, 1)
+
     def test_every_reading_gets_one_ack(self, fixture_store):
         engine = ContextEngine(fixture_store)
         acks = [engine.handle_reading(reading_msg(temp=21.0 + i))[0]
@@ -131,7 +143,10 @@ class _Client:
         self.reader = self.sock.makefile("r", encoding="utf-8")
 
     def send(self, obj):
-        self.sock.sendall((json.dumps(obj) + "\n").encode("utf-8"))
+        self.send_raw((json.dumps(obj) + "\n").encode("utf-8"))
+
+    def send_raw(self, data: bytes):
+        self.sock.sendall(data)
 
     def recv(self):
         line = self.reader.readline()
@@ -179,6 +194,50 @@ class TestServe:
         good.send(reading_msg(stream="s9"))
         assert good.recv()["type"] == "ack"
         good.close()
+
+    @pytest.mark.parametrize("line", [b"\xff\xfe{}\n", b"[" * 100000 + b"\n",
+                                      b"[1,2]\n"],
+                             ids=["non-utf8", "deep-nesting", "array"])
+    def test_undecodable_line_gets_error_then_close(self, server, line):
+        srv, _ = server
+        client = _Client(srv.server_address[1])
+        client.send_raw(line)
+        assert client.recv()["type"] == "error"
+        assert client.reader.readline() == ""  # connection closed
+        client.close()
+
+    def test_non_finite_reading_acked_and_connection_kept(self, server):
+        srv, _ = server
+        client = _Client(srv.server_address[1])
+        client.send(reading_msg(stream="nan", temp=float("nan")))
+        ack = client.recv()
+        assert ack["type"] == "ack" and ack["accepted"] is False
+        client.send(reading_msg(stream="nan", present=()))
+        ack = client.recv()
+        assert ack["type"] == "ack" and ack["accepted"] is True
+        client.close()
+
+    def test_out_of_order_reading_rejected_without_state_change(self, server, tmp_path):
+        srv, engine = server
+        lines = [reading_msg(time="120000", present=()),
+                 reading_msg(time="110000", present=(), temp=35.0)]
+        client = _Client(srv.server_address[1])
+        client.send(lines[0])
+        assert client.recv()["stored"] is True
+        before = set(engine.store)
+        client.send(lines[1])
+        ack = client.recv()
+        assert ack["accepted"] is False and "'s1'" in ack["error"]
+        assert set(engine.store) == before
+        # the baseline is still the 12:00 reading: its twin is a duplicate
+        client.send(reading_msg(time="120001", present=()))
+        assert client.recv() == {"type": "ack", "accepted": True,
+                                 "stored": False, "distance": 0.0}
+        client.close()
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(json.dumps(l) + "\n" for l in lines))
+        with pytest.raises(TraceError, match="line 2: timestamp order"):
+            replay(path)
 
     def test_disjoint_streams_from_two_clients(self, server):
         srv, engine = server
@@ -228,6 +287,29 @@ class TestReplay:
         path.write_text('{"type":"reading"}\nnot json\n')
         with pytest.raises(TraceError, match="line 1"):
             replay(path)
+
+    @pytest.mark.parametrize("line", [b"[1,2]", b"\xff\xfe{}", b'{"type":"tick"}'],
+                             ids=["array", "non-utf8", "tick-without-time"])
+    def test_bad_line_names_line(self, tmp_path, line):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(json.dumps(reading_msg()).encode() + b"\n\n" + line + b"\n")
+        with pytest.raises(TraceError, match="line 3"):
+            replay(path)
+
+    def test_each_reading_parsed_once(self, tmp_path, monkeypatch):
+        calls = []
+        parse = ingest.parse_reading_payload
+
+        def counted(msg):
+            calls.append(msg)
+            return parse(msg)
+
+        monkeypatch.setattr(ingest, "parse_reading_payload", counted)
+        lines = [reading_msg(time=f"1000{i:02d}", temp=21.0 + i) for i in range(7)]
+        lines.insert(3, {"type": "tick", "time": "100003"})
+        stats = replay(self.write_trace(tmp_path, lines))
+        assert stats.input_count == 7
+        assert len(calls) == 7
 
     def test_serve_replay_equivalence(self, tmp_path, fixture_text):
         lines = [
