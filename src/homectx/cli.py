@@ -76,6 +76,7 @@ def cmd_reason(args, parser: argparse.ArgumentParser) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
+        ontology.load_home_model(store)
         commands = ingest.reason_at(store, time)
     except ontology.ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
@@ -105,7 +106,11 @@ def cmd_serve(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     print(f"listening on port {args.port}", file=sys.stderr)
-    ingest.serve(("127.0.0.1", args.port), store, _dedup_config(args))
+    try:
+        ingest.serve(("127.0.0.1", args.port), store, _dedup_config(args))
+    except ontology.ModelError as exc:
+        print(f"model error: {exc}", file=sys.stderr)
+        return EXIT_CONTRACT
     return EXIT_OK
 
 

@@ -74,9 +74,10 @@ def reason_at(store: TripleStore, t: TimeOfDay) -> list[ApplianceCommand]:
     """Appliance commands for time ``t``: one per appliance, highest priority wins.
 
     Ties resolve to state True (serve at least one occupant), then to person
-    name order, so the result is fully deterministic.
+    name order, so the result is fully deterministic.  The store's home
+    model must have passed ``load_home_model``; ContextEngine checks it once,
+    when it is built.
     """
-    load_home_model(store)  # surface integrity errors before querying
     query = parse_query(_PREFERENCE_QUERY.format(time=t.label))
     table = evaluate(store, query)
     best: dict[Iri, ApplianceCommand] = {}
@@ -151,13 +152,16 @@ class ContextEngine:
     admission path for readings: per-stream order check, dedup baseline and
     input/stored counts.
 
-    All store writes funnel through one lock; reasoning runs read-only.
+    The home model is checked once, here, and ModelError comes from the
+    constructor: readings never change it.  Every store read and write, and
+    so all reasoning, holds the engine's one lock.
     """
 
     def __init__(self, store: TripleStore | None = None,
                  cfg: DedupConfig | None = None):
         self.store = store if store is not None else TripleStore()
         self.cfg = cfg if cfg is not None else DedupConfig()
+        load_home_model(self.store)
         self.input_count = 0
         self.stored_count = 0
         self._baselines: dict[str, EnvironmentReading] = {}
@@ -203,37 +207,42 @@ class ContextEngine:
             time = TimeOfDay.from_label(str(msg["time"]))
         except (KeyError, ValueError) as exc:
             raise ProtocolError(f"bad tick: {exc}") from None
-        return [c.to_wire() for c in reason_at(self.store, time)]
+        with self._lock:
+            commands = reason_at(self.store, time)
+        return [c.to_wire() for c in commands]
 
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         engine: ContextEngine = self.server.engine
         said_hello = False
-        for raw in self.rfile:
-            try:
-                msg = decode_line(raw)
-                if msg is None:
-                    continue
-                kind = msg["type"]
-                if kind == "hello":
-                    if said_hello:
-                        raise ProtocolError("duplicate hello")
-                    said_hello = True
-                    self._send({"type": "hello", "ok": True})
-                elif kind == "reading":
-                    ack, commands = engine.handle_reading(msg)
-                    self._send(ack)
-                    for cmd in commands:
-                        self._send(cmd)
-                elif kind == "tick":
-                    for cmd in engine.handle_tick(msg):
-                        self._send(cmd)
-                else:
-                    raise ProtocolError(f"unknown message type {kind!r}")
-            except ProtocolError as exc:
-                self._send({"type": "error", "message": str(exc)})
-                return  # terminate only this connection
+        try:
+            for raw in self.rfile:
+                try:
+                    msg = decode_line(raw)
+                    if msg is None:
+                        continue
+                    kind = msg["type"]
+                    if kind == "hello":
+                        if said_hello:
+                            raise ProtocolError("duplicate hello")
+                        said_hello = True
+                        self._send({"type": "hello", "ok": True})
+                    elif kind == "reading":
+                        ack, commands = engine.handle_reading(msg)
+                        self._send(ack)
+                        for cmd in commands:
+                            self._send(cmd)
+                    elif kind == "tick":
+                        for cmd in engine.handle_tick(msg):
+                            self._send(cmd)
+                    else:
+                        raise ProtocolError(f"unknown message type {kind!r}")
+                except ProtocolError as exc:
+                    self._send({"type": "error", "message": str(exc)})
+                    return  # terminate only this connection
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the client hung up before reading every reply
 
     def _send(self, obj: dict):
         self.wfile.write((json.dumps(obj) + "\n").encode("utf-8"))
@@ -258,7 +267,10 @@ def start_server(address, engine: ContextEngine) -> ContextServer:
 
 
 def serve(address, store: TripleStore, cfg: DedupConfig | None = None):
-    """Blocking server loop; returns on KeyboardInterrupt."""
+    """Blocking server loop; returns on KeyboardInterrupt.
+
+    Raises ModelError, before binding, when the store's home model is invalid.
+    """
     server = ContextServer(address, ContextEngine(store, cfg))
     try:
         server.serve_forever()
@@ -287,7 +299,8 @@ class ReplayStats:
 def replay(trace_path, cfg: DedupConfig | None = None,
            store: TripleStore | None = None) -> ReplayStats:
     """Offline equivalent of serve over a trace file: same stored triples,
-    same command sequence, deterministic."""
+    same command sequence, deterministic.  Raises ModelError before the
+    first line when ``store``'s home model is invalid."""
     engine = ContextEngine(store, cfg)
     commands: list[dict] = []
     with open(trace_path, "rb") as fh:

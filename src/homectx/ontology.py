@@ -28,6 +28,7 @@ P_PERSON_IN = home("personIn")
 XSD_DOUBLE = xsd("double")
 XSD_BOOLEAN = xsd("boolean")
 XSD_DATE = xsd("date")
+XSD_POSITIVE_INTEGER = xsd("positiveInteger")
 
 
 class ModelError(ValueError):
@@ -201,18 +202,23 @@ def load_home_model(store: TripleStore) -> HomeModel:
     A person is any subject with both :name and :hasPriority; an activity any
     subject with :When/:Who/:Do; a preference profile any :Do target carrying
     at least one boolean-valued property (the fixture carries no rdf:type
-    triples, so discovery is structural).
+    triples, so discovery is structural).  Every :hasPriority must be an
+    xsd:positiveInteger.
+
+    Reading triples carry only environment predicates and no boolean
+    objects, so nothing here reads them: a store that passes stays valid
+    as readings are inserted.
     """
     model = HomeModel()
     for t in store.match(TriplePattern(Variable("s"), P_PRIORITY, Variable("o"))):
+        # reasoning reads every :hasPriority, named subject or not, as an int
+        if not (isinstance(t.object, Literal) and t.object.datatype == XSD_POSITIVE_INTEGER):
+            raise ModelError(f"hasPriority on {t.subject.written} must be an "
+                             "xsd:positiveInteger")
         name_obj = _single_object(store, t.subject, P_NAME)
         if name_obj is None or not isinstance(name_obj, Literal):
             continue
-        if not isinstance(t.object, Literal):
-            raise ModelError(f"hasPriority on {t.subject.written} must be a literal")
-        priority = int(float(t.object.lexical))
-        if priority < 1:
-            raise ModelError(f"non-positive priority {priority} on {t.subject.written}")
+        priority = int(t.object.lexical)
         model.persons[t.subject] = Person(t.subject, name_obj.lexical, priority)
 
     for t in store.match(TriplePattern(Variable("s"), P_WHEN, Variable("o"))):

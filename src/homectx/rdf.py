@@ -194,8 +194,9 @@ _EMPTY: frozenset = frozenset()
 class TripleStore:
     """Set of triples with (S), (P), (O), (S,P) and (P,O) lookup indexes.
 
-    Single-writer / multiple-reader: reads may run concurrently, but callers
-    must serialize mutations externally (the ingest server does).
+    Not thread-safe: callers serialize all access, reads included, since a
+    read iterates index sets that an insert may grow.  ContextEngine holds
+    one lock for every read and write.
     """
 
     def __init__(self, triples=None):
@@ -267,39 +268,28 @@ def escape_string(s: str) -> str:
 
 _PN_PREFIX_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 _PN_LOCAL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_-]*")
+_WS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")  # whitespace and # comments
 
 
 class _Lexer:
-    """Shared character scanner for the data and query grammars."""
+    """Shared character scanner for the data and query grammars.
+
+    Only the offset is tracked; line and column are worked out when an
+    error is raised.
+    """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.col)
+    def error(self, message: str, pos: int | None = None) -> ParseError:
+        """A ParseError at ``pos`` (default: the current offset)."""
+        pos = self.pos if pos is None else pos
+        line = self.text.count("\n", 0, pos) + 1
+        return ParseError(message, line, pos - self.text.rfind("\n", 0, pos))
 
-    def _advance(self, n: int = 1):
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def skip_ws(self, comments: bool = True):
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c in " \t\r\n":
-                self._advance()
-            elif comments and c == "#":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance()
-            else:
-                break
+    def skip_ws(self):
+        self.pos = _WS_RE.match(self.text, self.pos).end()
 
     def at_end(self) -> bool:
         self.skip_ws()
@@ -310,7 +300,7 @@ class _Lexer:
 
     def take(self, literal: str) -> bool:
         if self.text.startswith(literal, self.pos):
-            self._advance(len(literal))
+            self.pos += len(literal)
             return True
         return False
 
@@ -322,7 +312,7 @@ class _Lexer:
         m = regex.match(self.text, self.pos)
         if not m:
             return None
-        self._advance(len(m.group(0)))
+        self.pos = m.end()
         return m.group(0)
 
     def read_pname(self) -> tuple[str, str | None]:
@@ -340,14 +330,14 @@ class _Lexer:
             c = self.peek()
             if not c or c == "\n":
                 raise self.error("unterminated string literal")
-            self._advance()
+            self.pos += 1
             if c == '"':
                 return "".join(out)
             if c == "\\":
                 esc = self.peek()
                 if esc not in _ESCAPES:
                     raise self.error(f"unknown escape \\{esc}")
-                self._advance()
+                self.pos += 1
                 out.append(_ESCAPES[esc])
             else:
                 out.append(c)
@@ -358,7 +348,7 @@ class _Lexer:
         if end == -1:
             raise self.error("unterminated IRI reference")
         iri = self.text[self.pos:end]
-        self._advance(end - self.pos + 1)
+        self.pos = end + 1
         return iri
 
 
@@ -373,10 +363,10 @@ def _resolve(lexer: _Lexer, prefixes: dict, prefix: str, local: str | None) -> I
 
 def _parse_term(lexer: _Lexer, prefixes: dict, allow_literal: bool) -> Term:
     lexer.skip_ws()
-    line, col = lexer.line, lexer.col
+    start = lexer.pos
     if lexer.peek() == '"':
         if not allow_literal:
-            raise ParseError("literal not allowed here", line, col)
+            raise lexer.error("literal not allowed here")
         lex = lexer.read_string()
         lexer.expect("^^")
         prefix, local = lexer.read_pname()
@@ -384,7 +374,7 @@ def _parse_term(lexer: _Lexer, prefixes: dict, allow_literal: bool) -> Term:
         try:
             return Literal(lex, dt)
         except ValueError as exc:
-            raise ParseError(str(exc), line, col) from None
+            raise lexer.error(str(exc), start) from None
     prefix, local = lexer.read_pname()
     return _resolve(lexer, prefixes, prefix, local)
 
@@ -405,7 +395,7 @@ def parse_data(text: str) -> list[Triple]:
             lexer.skip_ws()
             lexer.expect(".")
             continue
-        line, col = lexer.line, lexer.col
+        start = lexer.pos
         s = _parse_term(lexer, prefixes, allow_literal=False)
         p = _parse_term(lexer, prefixes, allow_literal=False)
         o = _parse_term(lexer, prefixes, allow_literal=True)
@@ -414,7 +404,7 @@ def parse_data(text: str) -> list[Triple]:
         try:
             triples.append(Triple(s, p, o))
         except ValueError as exc:
-            raise ParseError(str(exc), line, col) from None
+            raise lexer.error(str(exc), start) from None
     return triples
 
 

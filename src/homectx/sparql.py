@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cmp_to_key
 from typing import Optional
 
 from .rdf import (
     BUILTIN_PREFIXES,
     Iri,
     Literal,
-    ParseError,
     Term,
     TriplePattern,
     TripleStore,
@@ -102,7 +100,7 @@ class _QueryLexer(_Lexer):
     def take_keyword(self, word: str) -> bool:
         self.skip_ws()
         if self.peek_word().upper() == word:
-            self._advance(len(word))
+            self.pos += len(word)
             return True
         return False
 
@@ -111,7 +109,7 @@ class _QueryLexer(_Lexer):
         m = _VAR_RE.match(self.text, self.pos)
         if not m:
             raise self.error("expected variable")
-        self._advance(len(m.group(0)))
+        self.pos = m.end()
         return Variable(m.group(1))
 
 
@@ -179,7 +177,7 @@ def parse_query(text: str) -> Query:
             lexer.take(".")  # trailing dot after a filter is optional
             filters.append(FilterExpr(var, dt))
             continue
-        line, col = lexer.line, lexer.col
+        start = lexer.pos
         s = _parse_pattern_term(lexer, allow_literal=False)
         p = _parse_pattern_term(lexer, allow_literal=False)
         o = _parse_pattern_term(lexer, allow_literal=True)
@@ -188,7 +186,7 @@ def parse_query(text: str) -> Query:
         try:
             patterns.append(TriplePattern(s, p, o))
         except ValueError as exc:
-            raise ParseError(str(exc), line, col) from None
+            raise lexer.error(str(exc), start) from None
 
     order_keys: list[OrderKey] = []
     if lexer.take_keyword("ORDER"):
@@ -270,80 +268,43 @@ def _passes(binding: dict, filters: list) -> bool:
     return True
 
 
-def project_solutions(store: TripleStore, query: Query) -> list[tuple]:
-    """Projected rows before DISTINCT and sorting (exposed for oracle tests)."""
+def project_solutions(store: TripleStore, query: Query, extra=()) -> list[tuple]:
+    """Projected rows before DISTINCT and sorting, each followed by the terms
+    of the ``extra`` variables (the oracle tests pass none)."""
+    variables = [v.name for v in query.projection] + [v.name for v in extra]
     return [
-        tuple(binding[v.name] for v in query.projection)
+        tuple(binding[name] for name in variables)
         for binding in _solutions(store, query.patterns)
         if _passes(binding, query.filters)
     ]
 
 
-def _numeric_value(term) -> Optional[float]:
+def _order_value(term):
+    """Sort key of the canonical term order: numerics first, by value, then
+    everything else by term_key."""
     if isinstance(term, Literal) and term.datatype in _NUMERIC_DATATYPES:
-        return float(term.lexical)
-    return None
-
-
-def _compare_terms(a, b) -> int:
-    """Canonical order with numerics first, by value, then everything else."""
-    na, nb = _numeric_value(a), _numeric_value(b)
-    if na is not None and nb is not None:
-        return (na > nb) - (na < nb)
-    if na is not None:
-        return -1
-    if nb is not None:
-        return 1
-    ka, kb = term_key(a), term_key(b)
-    return (ka > kb) - (ka < kb)
+        return (0, float(term.lexical))
+    return (1, term_key(term))
 
 
 def evaluate(store: TripleStore, query: Query) -> ResultTable:
-    """Evaluate the query: join, filter, project, DISTINCT, sort."""
-    rows = project_solutions(store, query)
+    """Evaluate the query: join, filter, project, DISTINCT, sort.
+
+    Each row carries the terms of its ORDER BY keys, projected or not, out
+    of the one join.  Ties on every key fall back to the row's own terms.
+    """
+    width = len(query.projection)
+    rows = project_solutions(store, query, [k.variable for k in query.order_keys])
     if query.distinct:
-        seen = set()
-        unique = []
-        for row in rows:
-            if row not in seen:
-                seen.add(row)
-                unique.append(row)
-        rows = unique
-
-    var_index = {v.name: i for i, v in enumerate(query.projection)}
-    binding_cache = {}
-    if any(k.variable.name not in var_index for k in query.order_keys):
-        # Order key not projected: re-derive full bindings to sort on it.
-        full = [b for b in _solutions(store, query.patterns)
-                if _passes(b, query.filters)]
-        for b in full:
-            key = tuple(b[v.name] for v in query.projection)
-            binding_cache.setdefault(key, b)
-
-    def order_term(row, key: OrderKey):
-        if key.variable.name in var_index:
-            return row[var_index[key.variable.name]]
-        return binding_cache.get(row, {}).get(key.variable.name)
-
-    def compare(row_a, row_b) -> int:
-        for key in query.order_keys:
-            ta, tb = order_term(row_a, key), order_term(row_b, key)
-            if ta is None and tb is None:
-                continue
-            if ta is None:  # unbound sorts last regardless of direction
-                return 1
-            if tb is None:
-                return -1
-            c = _compare_terms(ta, tb)
-            if c:
-                return -c if key.descending else c
-        for ta, tb in zip(row_a, row_b):  # deterministic tie-break
-            ka, kb = term_key(ta), term_key(tb)
-            if ka != kb:
-                return -1 if ka < kb else 1
-        return 0
-
-    rows.sort(key=cmp_to_key(compare))
+        rows = list(dict.fromkeys(rows))  # exact (row, keys) duplicates
+    rows.sort(key=lambda r: [term_key(t) for t in r[:width]])
+    # stable sorts, last key first, give the lexicographic key order
+    for i in reversed(range(len(query.order_keys))):
+        rows.sort(key=lambda r: _order_value(r[width + i]),
+                  reverse=query.order_keys[i].descending)
+    rows = [r[:width] for r in rows]
+    if query.distinct:
+        rows = list(dict.fromkeys(rows))  # each row at its first occurrence
     return ResultTable(header=list(query.projection), rows=rows)
 
 

@@ -19,6 +19,15 @@ def fixture_store(fixture_text):
     return TripleStore(rdf.parse_data(fixture_text))
 
 
+# A home model whose only activity names a person that does not exist.
+GHOST_MODEL = """
+    :a :When :_180000 .
+    :a :Who :Ghost .
+    :a :Do :Nap .
+    :Nap :Light "true"^^xsd:boolean .
+"""
+
+
 # --- random instance generators (seeded, shared by property and acceptance tests)
 
 SUBJECT_POOL = [home(f"s{i}") for i in range(6)]

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from homectx import cli
+from conftest import GHOST_MODEL
+from homectx import cli, ingest
 from homectx.cli import TraceParams, gen_trace, main
 from homectx.ingest import replay
 
@@ -61,6 +62,28 @@ class TestReason:
         with pytest.raises(SystemExit) as exc:
             main(["reason", *fixture_args(), "9999"])
         assert exc.value.code == 2
+
+
+@pytest.fixture()
+def ghost_args(tmp_path):
+    path = tmp_path / "ghost.ttl"
+    path.write_text(GHOST_MODEL)
+    return ["--data", str(path)]
+
+
+class TestModelError:
+    def test_reason_exits_2(self, ghost_args, capsys):
+        assert main(["reason", *ghost_args, "180000"]) == 2
+        assert "model error" in capsys.readouterr().err
+
+    def test_serve_exits_2_before_binding(self, ghost_args, capsys, monkeypatch):
+        def no_bind(*args):
+            raise AssertionError("bound a server for an invalid model")
+
+        monkeypatch.setattr(ingest, "ContextServer", no_bind)
+        assert main(["serve", *ghost_args, "--port", "0"]) == 2
+        assert "model error: activity :a references unknown person :Ghost" in \
+            capsys.readouterr().err
 
 
 class TestLoad:

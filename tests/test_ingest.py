@@ -1,8 +1,14 @@
 import json
 import socket
+import struct
+import sys
+import threading
+import time
+from datetime import date, timedelta
 
 import pytest
 
+from conftest import GHOST_MODEL
 from homectx import ingest, rdf
 from homectx.dedup import DedupConfig
 from homectx.ingest import (
@@ -70,14 +76,9 @@ class TestReasonAt:
         assert commands["TV"].priority == 8
 
     def test_model_errors_propagate(self):
-        store = TripleStore(rdf.parse_data("""
-            :a :When :_180000 .
-            :a :Who :Ghost .
-            :a :Do :Nap .
-            :Nap :Light "true"^^xsd:boolean .
-        """))
+        # checked once, where the model enters the engine, not per reasoning
         with pytest.raises(ModelError):
-            reason_at(store, TimeOfDay(18, 0, 0))
+            ContextEngine(TripleStore(rdf.parse_data(GHOST_MODEL)))
 
     def test_pure_function_of_store_and_time(self, fixture_store):
         a = reason_at(fixture_store, TimeOfDay(18, 0, 0))
@@ -135,6 +136,62 @@ class TestHandleReading:
                 for i in range(5)]
         assert len(acks) == 5
         assert all(a["type"] == "ack" for a in acks)
+
+
+class TestHandleTick:
+    def test_tick_waits_for_engine_lock(self, fixture_store):
+        engine = ContextEngine(fixture_store)
+        replies = []
+        tick = threading.Thread(target=lambda: replies.append(
+            engine.handle_tick({"type": "tick", "time": "200000"})))
+        with engine._lock:
+            tick.start()
+            tick.join(0.2)
+            assert tick.is_alive()  # reasoning waits while a writer holds the lock
+        tick.join(5)
+        assert not tick.is_alive()
+        assert len(replies[0]) == 4
+
+    def test_ticks_beside_readings_raise_nothing(self, fixture_store):
+        # every stored reading grows the (hasTime, :_180000) index set that
+        # each tick's join iterates
+        engine = ContextEngine(fixture_store)
+        errors, stop = [], threading.Event()
+
+        def run(step):
+            i = 0
+            while not stop.is_set():
+                try:
+                    step(i)
+                except Exception as exc:  # reported by the assertion below
+                    errors.append(exc)
+                    return
+                i += 1
+
+        def reading(i):
+            day = date(2000, 1, 1) + timedelta(days=i)
+            engine.handle_reading(reading_msg(date=day.isoformat(),
+                                              temp=20.0 + 10 * (i % 2)))
+
+        def tick(i):
+            engine.handle_tick({"type": "tick", "time": "180000"})
+
+        workers = [threading.Thread(target=run, args=(step,))
+                   for step in (reading, tick, tick)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for w in workers:
+                w.start()
+            time.sleep(1.0)
+        finally:
+            stop.set()
+            for w in workers:
+                w.join(10)
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        assert engine.stored_count > 1
 
 
 class _Client:
@@ -254,6 +311,28 @@ class TestServe:
         a.close()
         b.close()
 
+    def test_hangup_leaves_no_traceback(self, server, capfd):
+        srv, _ = server
+        handled = threading.Event()
+        shutdown_request = srv.shutdown_request
+
+        def closed(request):
+            shutdown_request(request)
+            handled.set()
+
+        srv.shutdown_request = closed
+        client = _Client(srv.server_address[1])
+        client.send({"type": "hello"})
+        client.recv()
+        client.send(reading_msg())  # answered by an ack and four commands
+        # close unread, with a reset, so the server's next send or read fails
+        client.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                               struct.pack("ii", 1, 0))
+        client.reader.close()  # the socket closes with its last file object
+        client.close()
+        assert handled.wait(5)
+        assert "Traceback" not in capfd.readouterr().err
+
     def test_tick_triggers_commands(self, server):
         srv, _ = server
         client = _Client(srv.server_address[1])
@@ -295,6 +374,12 @@ class TestReplay:
         path.write_bytes(json.dumps(reading_msg()).encode() + b"\n\n" + line + b"\n")
         with pytest.raises(TraceError, match="line 3"):
             replay(path)
+
+    def test_invalid_model_refused_before_first_line(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("not json\n")
+        with pytest.raises(ModelError, match=":Ghost"):
+            replay(path, store=TripleStore(rdf.parse_data(GHOST_MODEL)))
 
     def test_each_reading_parsed_once(self, tmp_path, monkeypatch):
         calls = []

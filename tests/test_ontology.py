@@ -2,6 +2,8 @@ import random
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_reading
 from homectx import rdf
@@ -126,6 +128,21 @@ class TestHomeModel:
         """))
         with pytest.raises(ModelError, match=":Missing"):
             load_home_model(store)
+
+    def test_priority_must_be_positive_integer(self, fixture_text):
+        text = fixture_text.replace(':Son :hasPriority "5"^^xsd:positiveInteger',
+                                    ':Son :hasPriority "5.0"^^xsd:double')
+        with pytest.raises(ModelError, match="positiveInteger"):
+            load_home_model(TripleStore(rdf.parse_data(text)))
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_readings_leave_model_unchanged(self, fixture_text, rng):
+        store = TripleStore(rdf.parse_data(fixture_text))
+        before = load_home_model(store)
+        for triple in reading_to_triples(rand_reading(rng)):
+            store.insert(triple)
+        assert load_home_model(store) == before
 
     def test_order_independence(self, fixture_store):
         triples = list(fixture_store)

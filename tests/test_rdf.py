@@ -129,6 +129,16 @@ class TestParser:
             rdf.parse_data(":a :b :c .\n:a :b .")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("text, message, line, column", [
+        (":a :b :c . # trailing\n# a comment line\n  :d :e .\n",
+         "expected prefixed name", 3, 9),
+        (':a :b :c .\n#c\n:d :e "x"^^xsd:nope .', "unsupported literal datatype", 3, 7),
+    ], ids=["after-comments", "literal-start"])
+    def test_error_position_after_comment(self, text, message, line, column):
+        with pytest.raises(ParseError, match=message) as exc:
+            rdf.parse_data(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+
     def test_unsupported_datatype_is_parse_error(self):
         with pytest.raises(ParseError, match="unsupported"):
             rdf.parse_data(':a :b "1"^^xsd:integer .')

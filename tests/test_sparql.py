@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from conftest import brute_force_rows, rand_query, rand_store
-from homectx.rdf import Literal, ParseError, TripleStore, Variable, home, xsd
+from homectx.rdf import Literal, ParseError, Triple, TripleStore, Variable, home, xsd
 from homectx.sparql import (
     QueryError,
     evaluate,
@@ -68,6 +68,8 @@ class TestParseQuery:
     def test_syntax_error_has_location(self):
         with pytest.raises(ParseError, match="line"):
             parse_query("SELECT ?s WHERE { ?s :a }")
+        with pytest.raises(ParseError, match=r"expected '\.' \(line 3, column 31\)"):
+            parse_query('SELECT ?s\n# why\nWHERE { ?s :p "1"^^xsd:double :x . }')
 
     def test_pattern_order_preserved(self):
         q = parse_query("SELECT ?a ?b WHERE { ?a :p1 ?b. ?b :p2 ?a. }")
@@ -141,6 +143,17 @@ class TestEvaluate:
             permuted = type(query)(query.distinct, query.projection, shuffled,
                                    query.filters, query.order_keys)
             assert set(evaluate(store, permuted).rows) == reference
+
+    @pytest.mark.parametrize("query, expected", [
+        ("SELECT ?s WHERE { ?s :p ?o. } ORDER BY ?o", ["s1", "s2", "s1"]),
+        ("SELECT ?s WHERE { ?s :p ?o. } ORDER BY DESC(?o)", ["s1", "s2", "s1"]),
+        ("SELECT DISTINCT ?s WHERE { ?s :p ?o. } ORDER BY DESC(?o)", ["s1", "s2"]),
+    ], ids=["asc", "desc", "distinct-desc"])
+    def test_order_by_unprojected_key(self, query, expected):
+        store = TripleStore([Triple(home(s), home("p"), Literal(o, xsd("positiveInteger")))
+                             for s, o in (("s1", "1"), ("s1", "3"), ("s2", "2"))])
+        rows = evaluate(store, parse_query(query)).rows
+        assert [s.local for (s,) in rows] == expected
 
     def test_evaluation_deterministic(self, fixture_store):
         q = parse_query("SELECT ?s ?p ?o WHERE { ?s ?p ?o. }")
