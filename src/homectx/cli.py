@@ -105,7 +105,6 @@ def cmd_serve(args) -> int:
     except rdf.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    print(f"listening on port {args.port}", file=sys.stderr)
     try:
         ingest.serve(("127.0.0.1", args.port), store, _dedup_config(args))
     except ontology.ModelError as exc:

@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 import math
 import socketserver
+import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date as Date
 
 from .dedup import DedupConfig, should_store
@@ -24,7 +25,7 @@ from .ontology import (
     reading_to_triples,
 )
 from .rdf import Iri, TripleStore, home
-from .sparql import evaluate, parse_query
+from .sparql import Query, evaluate, parse_query, substitute
 
 
 class ProtocolError(ValueError):
@@ -54,20 +55,27 @@ class ApplianceCommand:
         }
 
 
-_PREFERENCE_QUERY = """
+_PREFERENCE_QUERY = parse_query("""
 SELECT DISTINCT ?person ?what ?appliance ?status ?priority
-WHERE {{
-  ?work :When :_{time}.
-  ?environment :hasTime :_{time}.
+WHERE {
+  ?work :When ?time.
+  ?environment :hasTime ?time.
   ?environment :personIn ?person.
   ?work :Who ?person.
   ?work :Do ?what.
   ?person :hasPriority ?priority.
   ?what ?appliance ?status.
   filter(datatype(?status)=xsd:boolean)
-}}
+}
 ORDER BY DESC(?priority)
-"""
+""")
+
+
+def preference_query(t: TimeOfDay) -> Query:
+    """The query parsed once above, with ``t``'s IRI for ``?time``: a
+    constant the join planner can see."""
+    patterns = [substitute(p, {"time": t.iri}) for p in _PREFERENCE_QUERY.patterns]
+    return replace(_PREFERENCE_QUERY, patterns=patterns)
 
 
 def reason_at(store: TripleStore, t: TimeOfDay) -> list[ApplianceCommand]:
@@ -78,8 +86,7 @@ def reason_at(store: TripleStore, t: TimeOfDay) -> list[ApplianceCommand]:
     model must have passed ``load_home_model``; ContextEngine checks it once,
     when it is built.
     """
-    query = parse_query(_PREFERENCE_QUERY.format(time=t.label))
-    table = evaluate(store, query)
+    table = evaluate(store, preference_query(t))
     best: dict[Iri, ApplianceCommand] = {}
     for person, what, appliance, status, priority in table.rows:
         cmd = ApplianceCommand(
@@ -270,8 +277,10 @@ def serve(address, store: TripleStore, cfg: DedupConfig | None = None):
     """Blocking server loop; returns on KeyboardInterrupt.
 
     Raises ModelError, before binding, when the store's home model is invalid.
+    Once bound, says so on stderr with the bound port.
     """
     server = ContextServer(address, ContextEngine(store, cfg))
+    print(f"listening on port {server.server_address[1]}", file=sys.stderr)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

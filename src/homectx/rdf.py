@@ -231,8 +231,9 @@ class TripleStore:
         self._by_po.setdefault((t.predicate, t.object), set()).add(t)
         return True
 
-    def match(self, pattern: TriplePattern) -> list[Triple]:
-        """All triples unifying with the pattern, in canonical order."""
+    def _lookup(self, pattern: TriplePattern):
+        """(s, p, o, candidates): the pattern's constants, None for each
+        variable, and the one index set that holds every match."""
         s = pattern.subject if isinstance(pattern.subject, Iri) else None
         p = pattern.predicate if isinstance(pattern.predicate, Iri) else None
         o = pattern.object if not isinstance(pattern.object, Variable) else None
@@ -248,6 +249,15 @@ class TripleStore:
             candidates = self._by_o.get(o, _EMPTY)
         else:
             candidates = self._triples
+        return s, p, o, candidates
+
+    def candidate_count(self, pattern: TriplePattern) -> int:
+        """Size of the index set ``match`` scans: a bound on its result size."""
+        return len(self._lookup(pattern)[3])
+
+    def match(self, pattern: TriplePattern) -> list[Triple]:
+        """All triples unifying with the pattern, in canonical order."""
+        s, p, o, candidates = self._lookup(pattern)
         out = [t for t in candidates
                if (s is None or t.subject == s)
                and (p is None or t.predicate == p)

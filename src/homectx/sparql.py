@@ -3,9 +3,10 @@
 Supported: SELECT [DISTINCT], conjunctive basic graph patterns with
 variables in any position, ``filter(datatype(?v)=xsd:T)``, and
 ORDER BY ASC/DESC.  Anything beyond the subset fails loudly by feature
-name.  Evaluation is an index-backed nested-loop join over the patterns
-in written order; its correctness is pinned to a brute-force oracle in
-the tests, not to a planner.
+name.  Evaluation is an index-backed nested-loop join in a greedy
+selectivity-first order (RDF-3X's, with the store's index sizes as its
+statistics), planned once per query; results do not depend on the written
+pattern order, and are pinned to a brute-force oracle in the tests.
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ def parse_query(text: str) -> Query:
 
 # --- evaluation --------------------------------------------------------------
 
-def _substitute(pattern: TriplePattern, binding: dict) -> Optional[TriplePattern]:
+def substitute(pattern: TriplePattern, binding: dict) -> Optional[TriplePattern]:
     """Plug bound variables into the pattern; None when a literal lands in a
     subject or predicate slot (such a binding can match nothing)."""
     def sub(t):
@@ -235,13 +236,34 @@ def _substitute(pattern: TriplePattern, binding: dict) -> Optional[TriplePattern
     return TriplePattern(s, p, o)
 
 
+def _plan(store: TripleStore, patterns: list) -> list:
+    """Join order, picked greedily: a pattern sharing a variable with those
+    already picked (any pattern qualifies first), then the fewest slots not
+    constant or bound, then the fewest index candidates, then written order."""
+    todo = [([t.name for t in (p.subject, p.predicate, p.object) if isinstance(t, Variable)],
+             store.candidate_count(p), p) for p in patterns]
+    order, bound = [], set()
+
+    def rank(item):
+        names, size, _ = item
+        return (bool(order) and bound.isdisjoint(names),
+                sum(name not in bound for name in names), size)
+
+    while todo:
+        best = min(todo, key=rank)
+        todo.remove(best)
+        order.append(best[2])
+        bound.update(best[0])
+    return order
+
+
 def _solutions(store: TripleStore, patterns: list) -> list[dict]:
-    """Nested-loop join in pattern order; yields one binding per solution."""
+    """Nested-loop join in planned order; one binding per solution."""
     bindings = [{}]
-    for pattern in patterns:
+    for pattern in _plan(store, patterns):
         next_bindings = []
         for binding in bindings:
-            concrete = _substitute(pattern, binding)
+            concrete = substitute(pattern, binding)
             if concrete is None:
                 continue
             for triple in store.match(concrete):

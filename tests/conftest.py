@@ -139,3 +139,34 @@ def rand_reading(rng: random.Random) -> EnvironmentReading:
         time=TimeOfDay(rng.randint(0, 23), rng.randint(0, 59), rng.randint(0, 59)),
         persons_present=persons,
     )
+
+
+# --- synthetic homes (seeded) for the planner and reasoning-cost tests
+
+HOME_SLOTS = ("070000", "120000", "180000", "210000")
+HOME_PROFILES = ("Cooking", "Reading", "Relax", "Sleep")
+HOME_APPLIANCES = ("AirConditioner", "Heater", "Light", "TV")
+
+
+def home_text(persons: int, seed: int, present: int) -> str:
+    """A home model in which every person has one activity at each slot of
+    HOME_SLOTS, and each slot has one environment record with ``present``
+    of the persons in it."""
+    rng = random.Random(seed)
+    lines = [f':{profile} :{appliance} "{rng.choice(["true", "false"])}"^^xsd:boolean .'
+             for profile in HOME_PROFILES for appliance in HOME_APPLIANCES]
+    ids = [f"P{i}" for i in range(persons)]
+    for pid in ids:
+        lines.append(f':{pid} :name "{pid}"^^xsd:string .')
+        lines.append(f':{pid} :hasPriority "{rng.randint(1, 10)}"^^xsd:positiveInteger .')
+        for slot in HOME_SLOTS:
+            act = f":act_{pid}_{slot}"
+            lines += [f"{act} :When :_{slot} .", f"{act} :Who :{pid} .",
+                      f"{act} :Do :{rng.choice(HOME_PROFILES)} ."]
+    for slot in HOME_SLOTS:
+        record = f":_070410{slot}"
+        lines += [f'{record} :Temperature "{rng.randint(18, 26)}"^^xsd:double .',
+                  f'{record} :Date "2007-04-10"^^xsd:date .',
+                  f"{record} :hasTime :_{slot} ."]
+        lines += [f"{record} :personIn :{pid} ." for pid in rng.sample(ids, present)]
+    return "\n".join(lines) + "\n"

@@ -64,6 +64,22 @@ class TestReason:
         assert exc.value.code == 2
 
 
+class TestServe:
+    def test_listening_line_names_bound_port(self, capsys, monkeypatch):
+        class StopAtOnce(ingest.ContextServer):
+            def serve_forever(self, poll_interval=0.5):
+                raise KeyboardInterrupt
+
+            def shutdown(self):
+                pass  # serve_forever never ran, so there is no loop to stop
+
+        monkeypatch.setattr(ingest, "ContextServer", StopAtOnce)
+        assert main(["serve", *fixture_args(), "--port", "0"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("listening on port ")
+        assert int(err[0].rsplit(" ", 1)[1]) > 0
+
+
 @pytest.fixture()
 def ghost_args(tmp_path):
     path = tmp_path / "ghost.ttl"
@@ -82,8 +98,9 @@ class TestModelError:
 
         monkeypatch.setattr(ingest, "ContextServer", no_bind)
         assert main(["serve", *ghost_args, "--port", "0"]) == 2
-        assert "model error: activity :a references unknown person :Ghost" in \
-            capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "model error: activity :a references unknown person :Ghost" in err
+        assert "listening" not in err
 
 
 class TestLoad:
@@ -110,7 +127,8 @@ class TestGenTrace:
                                               rate=1, events=20, seed=42))
         assert manifest["lines"] == 36000
         assert len(manifest["events"]) == 20
-        assert sum(1 for _ in open(out)) == 36000
+        with open(out) as fh:
+            assert sum(1 for _ in fh) == 36000
         sidecar = json.loads((tmp_path / "trace.jsonl.manifest.json").read_text())
         assert sidecar == manifest
 

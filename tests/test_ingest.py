@@ -8,7 +8,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from conftest import GHOST_MODEL
+from conftest import GHOST_MODEL, HOME_APPLIANCES, home_text
 from homectx import ingest, rdf
 from homectx.dedup import DedupConfig
 from homectx.ingest import (
@@ -84,6 +84,23 @@ class TestReasonAt:
         a = reason_at(fixture_store, TimeOfDay(18, 0, 0))
         b = reason_at(fixture_store, TimeOfDay(18, 0, 0))
         assert a == b
+
+    def test_match_calls_linear_in_present_persons(self, monkeypatch):
+        # a join in written order crosses activities with records first
+        persons = 100
+        store = TripleStore(rdf.parse_data(home_text(persons, seed=7, present=persons)))
+        ContextEngine(store)  # the home model is valid
+        calls = []
+        match = TripleStore.match
+
+        def counted(self, pattern):
+            calls.append(pattern)
+            return match(self, pattern)
+
+        monkeypatch.setattr(TripleStore, "match", counted)
+        commands = reason_at(store, TimeOfDay(18, 0, 0))
+        assert len(commands) == len(HOME_APPLIANCES)
+        assert len(calls) <= 10 * persons
 
 
 class TestHandleReading:

@@ -1,10 +1,29 @@
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from conftest import brute_force_rows, rand_query, rand_store
-from homectx.rdf import Literal, ParseError, Triple, TripleStore, Variable, home, xsd
+from conftest import (
+    HOME_SLOTS,
+    brute_force_rows,
+    home_text,
+    rand_pattern,
+    rand_query,
+    rand_store,
+)
+from homectx.ingest import preference_query
+from homectx.ontology import TimeOfDay
+from homectx.rdf import (
+    Literal,
+    ParseError,
+    Triple,
+    TripleStore,
+    Variable,
+    home,
+    parse_data,
+    xsd,
+)
 from homectx.sparql import (
     QueryError,
     evaluate,
@@ -158,6 +177,40 @@ class TestEvaluate:
     def test_evaluation_deterministic(self, fixture_store):
         q = parse_query("SELECT ?s ?p ?o WHERE { ?s ?p ?o. }")
         assert evaluate(fixture_store, q).rows == evaluate(fixture_store, q).rows
+
+
+class TestPlanner:
+    """The join order is planned; results must not depend on it."""
+
+    @pytest.fixture(scope="class")
+    def small_home(self):
+        return TripleStore(parse_data(home_text(8, seed=5, present=4)))
+
+    @pytest.mark.parametrize("slot", HOME_SLOTS)
+    def test_preference_query_matches_brute_force(self, small_home, slot):
+        query = preference_query(TimeOfDay.from_label(slot))
+        expected = brute_force_rows(list(small_home), query)
+        assert expected  # four present persons, all active at the slot
+        assert Counter(project_solutions(small_home, query)) == Counter(expected)
+
+    def test_preference_rows_independent_of_pattern_order(self, small_home):
+        query = preference_query(TimeOfDay(18, 0, 0))
+        reference = evaluate(small_home, query).rows
+        assert reference
+        rng = random.Random(83)
+        for _ in range(50):
+            shuffled = list(query.patterns)
+            rng.shuffle(shuffled)
+            permuted = replace(query, patterns=shuffled)
+            assert evaluate(small_home, permuted).rows == reference
+
+    def test_candidate_count_bounds_match(self):
+        rng = random.Random(89)
+        variables = [Variable(name) for name in "ab"]
+        for _ in range(300):
+            store = rand_store(rng, 50)
+            pattern = rand_pattern(rng, variables)
+            assert store.candidate_count(pattern) >= len(store.match(pattern))
 
 
 class TestFormat:
