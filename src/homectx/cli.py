@@ -110,6 +110,9 @@ def cmd_serve(args) -> int:
     except ontology.ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
+    except OSError as exc:  # e.g. the port is already in use
+        print(f"serve error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     return EXIT_OK
 
 

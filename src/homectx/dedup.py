@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple, Optional, Sequence
 
 from .ontology import EnvironmentReading
 
@@ -32,10 +33,6 @@ class FactorSpec:
             if not math.isfinite(self.threshold) or self.threshold < 0:
                 raise ValueError(f"threshold for {self.name} must be finite and >= 0")
 
-    @property
-    def is_categorical(self) -> bool:
-        return self.threshold is None
-
 
 # Default thresholds: temperature 0.1, illumination 0.5, humidity 0.35;
 # presence and date are categorical.
@@ -47,12 +44,13 @@ DEFAULT_FACTORS = (
     FactorSpec("date", None),
 )
 
-_EXTRACTORS = {
-    "temperature": lambda r: r.temperature,
-    "illumination": lambda r: r.illumination,
-    "humidity": lambda r: r.humidity,
-    "presence": lambda r: r.persons_present,
-    "date": lambda r: r.date,
+# Factor name -> the EnvironmentReading attribute it compares.
+_ATTRIBUTES = {
+    "temperature": "temperature",
+    "illumination": "illumination",
+    "humidity": "humidity",
+    "presence": "persons_present",
+    "date": "date",
 }
 
 
@@ -60,6 +58,9 @@ _EXTRACTORS = {
 class DedupConfig:
     factors: Sequence[FactorSpec] = DEFAULT_FACTORS
     epsilon: float = DEFAULT_EPSILON
+    # (spec, attribute getter) per factor, in factor order, built once here
+    # so that should_store does no per-call lookups
+    plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.factors:
@@ -67,11 +68,13 @@ class DedupConfig:
         names = [f.name for f in self.factors]
         if len(set(names)) != len(names):
             raise ValueError("factor names must be unique")
-        unknown = set(names) - set(_EXTRACTORS)
+        unknown = set(names) - set(_ATTRIBUTES)
         if unknown:
             raise ValueError(f"unknown factors: {sorted(unknown)}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        object.__setattr__(self, "plan", tuple(
+            (spec, attrgetter(_ATTRIBUTES[spec.name])) for spec in self.factors))
 
 
 def load_threshold_overrides(path) -> DedupConfig:
@@ -93,52 +96,45 @@ def load_threshold_overrides(path) -> DedupConfig:
     return DedupConfig(factors=tuple(factors))
 
 
-@dataclass(frozen=True)
-class FactorDelta:
+class FactorDelta(NamedTuple):
     name: str
     d: float
     exceeded: bool
 
 
-@dataclass(frozen=True)
-class DedupDecision:
+class DedupDecision(NamedTuple):
     store: bool
     distance: float
     deltas: tuple
-    reference: object = None  # id of the baseline reading, None if first
+    reference: object  # id of the baseline reading, None if first
 
 
 def normalized_delta(prev_value, curr_value, spec: FactorSpec,
                      epsilon: float = DEFAULT_EPSILON) -> float:
     """Per-factor change: relative for numerics, 0/1 for categoricals."""
-    if spec.is_categorical:
+    if spec.threshold is None:
         return 0.0 if prev_value == curr_value else 1.0
     if not (math.isfinite(prev_value) and math.isfinite(curr_value)):
         raise ValueError(f"non-finite value for factor {spec.name}")
     return abs(curr_value - prev_value) / max(abs(prev_value), epsilon)
 
 
-def factor_deltas(prev: EnvironmentReading, curr: EnvironmentReading,
-                  cfg: DedupConfig) -> tuple[FactorDelta, ...]:
-    out = []
-    for spec in cfg.factors:
-        extract = _EXTRACTORS[spec.name]
-        d = normalized_delta(extract(prev), extract(curr), spec, cfg.epsilon)
-        exceeded = d == 1.0 if spec.is_categorical else d > spec.threshold
-        out.append(FactorDelta(spec.name, d, exceeded))
-    return tuple(out)
-
-
 def should_store(baseline: Optional[EnvironmentReading], curr: EnvironmentReading,
                  cfg: DedupConfig = DedupConfig()) -> DedupDecision:
-    """Store when there is no baseline, or when any factor exceeds its threshold."""
-    if baseline is None:
-        return DedupDecision(store=True, distance=0.0, deltas=(), reference=None)
-    deltas = factor_deltas(baseline, curr, cfg)
-    return DedupDecision(
-        store=any(d.exceeded for d in deltas),
-        distance=math.sqrt(sum(d.d ** 2 for d in deltas)),
-        deltas=deltas,
-        reference=baseline.id,
-    )
+    """Store when there is no baseline, or when any factor exceeds its threshold.
 
+    The distance sums the squared deltas in factor order, then takes the root.
+    """
+    if baseline is None:
+        return DedupDecision(True, 0.0, (), None)
+    epsilon = cfg.epsilon
+    deltas = []
+    store = False
+    total = 0.0
+    for spec, get in cfg.plan:
+        d = normalized_delta(get(baseline), get(curr), spec, epsilon)
+        exceeded = d == 1.0 if spec.threshold is None else d > spec.threshold
+        deltas.append(FactorDelta(spec.name, d, exceeded))
+        store = store or exceeded
+        total += d ** 2
+    return DedupDecision(store, math.sqrt(total), tuple(deltas), baseline.id)

@@ -28,6 +28,12 @@ from .rdf import Iri, TripleStore, home
 from .sparql import Query, evaluate, parse_query, substitute
 
 
+# Longest accepted wire or trace line, in bytes, its newline included.  The
+# server reads at most one byte more, so a client cannot make it buffer an
+# endless line.
+MAX_LINE_BYTES = 64 * 1024
+
+
 class ProtocolError(ValueError):
     """Violation of the wire or trace-line contract."""
 
@@ -114,8 +120,10 @@ def decode_line(raw: bytes) -> dict | None:
     """One wire or trace line to a message object; None for a blank line.
 
     Raises ProtocolError unless the line is UTF-8 JSON holding an object
-    with a ``type``.
+    with a ``type``, at most MAX_LINE_BYTES long.
     """
+    if len(raw) > MAX_LINE_BYTES:
+        raise ProtocolError("line too long")
     try:
         line = raw.decode("utf-8").strip()
         if not line:
@@ -224,7 +232,7 @@ class _Handler(socketserver.StreamRequestHandler):
         engine: ContextEngine = self.server.engine
         said_hello = False
         try:
-            for raw in self.rfile:
+            while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
                 try:
                     msg = decode_line(raw)
                     if msg is None:

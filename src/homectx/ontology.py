@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date as Date
+from functools import cached_property
 
 from .rdf import Iri, Literal, Triple, TriplePattern, TripleStore, Variable, home, xsd
 
@@ -91,8 +92,11 @@ class EnvironmentReading:
         if self.illumination < 0:
             raise ValueError(f"illumination must be >= 0: {self.illumination}")
 
-    @property
+    @cached_property
     def id(self) -> Iri:
+        """Built on first use and kept, since dedup names the same baseline
+        for every reading compared against it; not a field, so equality and
+        hashing ignore it."""
         stamp = f"{self.date.year % 100:02d}{self.date.month:02d}{self.date.day:02d}"
         return home(f"_{stamp}{self.time.label}")
 

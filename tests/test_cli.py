@@ -1,4 +1,5 @@
 import json
+import socket
 
 import pytest
 
@@ -78,6 +79,16 @@ class TestServe:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("listening on port ")
         assert int(err[0].rsplit(" ", 1)[1]) > 0
+
+    def test_port_in_use_exits_1_with_one_line(self, capsys):
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            assert main(["serve", *fixture_args(), "--port", str(port)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("serve error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "listening" not in err
 
 
 @pytest.fixture()

@@ -10,7 +10,6 @@ from homectx.dedup import (
     DEFAULT_FACTORS,
     DedupConfig,
     FactorSpec,
-    factor_deltas,
     load_threshold_overrides,
     normalized_delta,
     should_store,
@@ -146,6 +145,86 @@ class TestShouldStore:
             assert should_store(prev, curr, CFG).store is expect
 
 
+def reference_decision(prev, curr, cfg):
+    """The straightforward dedup loop, kept as the referee for should_store:
+    normalized_delta per factor, the categorical-or-threshold rule, then the
+    root of the squares summed in factor order.  Returns (store, distance,
+    reference, deltas as (name, d, exceeded))."""
+    values = {"temperature": lambda r: r.temperature,
+              "illumination": lambda r: r.illumination,
+              "humidity": lambda r: r.humidity,
+              "presence": lambda r: r.persons_present,
+              "date": lambda r: r.date}
+    deltas = []
+    for spec in cfg.factors:
+        get = values[spec.name]
+        d = normalized_delta(get(prev), get(curr), spec, cfg.epsilon)
+        exceeded = d == 1.0 if spec.threshold is None else d > spec.threshold
+        deltas.append((spec.name, d, exceeded))
+    total = 0.0
+    for _, d, _ in deltas:
+        total += d ** 2
+    reference = home(f"_{prev.date:%y%m%d}{prev.time.label}")
+    return any(e for _, _, e in deltas), math.sqrt(total), reference, deltas
+
+
+def oracle_pairs(rng, n):
+    """Random reading pairs: unrelated ones, which nearly always store, and
+    near copies of the baseline whose numeric factors each move or stay, so
+    they store or drop around the thresholds; some baselines have zero
+    illumination (the epsilon case)."""
+    def nudge(value, spread):
+        return value * (1 + rng.uniform(-spread, spread)) if rng.random() < 0.6 else value
+
+    for _ in range(n):
+        prev = rand_reading(rng)
+        if rng.random() < 0.2:
+            prev = replace(prev, illumination=0.0)
+        if rng.random() < 0.3:
+            yield prev, rand_reading(rng)
+            continue
+        curr = replace(
+            prev,
+            temperature=nudge(prev.temperature, 0.12),
+            humidity=min(100.0, nudge(prev.humidity, 0.4)),
+            illumination=nudge(prev.illumination, 0.6),
+            time=TimeOfDay(rng.randint(0, 23), rng.randint(0, 59), rng.randint(0, 59)),
+        )
+        if rng.random() < 0.1:
+            curr = replace(curr, persons_present=prev.persons_present ^ {home("Son")})
+        if rng.random() < 0.1:
+            curr = replace(curr, date=prev.date + timedelta(days=1))
+        yield prev, curr
+
+
+class TestOracle:
+    @pytest.mark.parametrize("which", ["default", "temperature-categorical",
+                                       "reordered"])
+    def test_should_store_matches_reference(self, which, tmp_path):
+        if which == "default":
+            cfg = CFG
+        elif which == "temperature-categorical":
+            path = tmp_path / "thresholds.json"
+            path.write_text('{"temperature": "categorical"}')
+            cfg = load_threshold_overrides(path)
+            assert cfg.factors[0].threshold is None
+        else:
+            by_name = {f.name: f for f in DEFAULT_FACTORS}
+            cfg = DedupConfig(factors=tuple(by_name[n] for n in (
+                "date", "humidity", "presence", "temperature", "illumination")))
+        rng = random.Random(59)
+        verdicts = set()
+        for prev, curr in oracle_pairs(rng, 2000):
+            store, dist, reference, deltas = reference_decision(prev, curr, cfg)
+            decision = should_store(prev, curr, cfg)
+            assert decision.store == store
+            assert decision.distance == dist
+            assert decision.reference == reference
+            assert [(d.name, d.d, d.exceeded) for d in decision.deltas] == deltas
+            verdicts.add(store)
+        assert verdicts == {True, False}
+
+
 def admit(engine, stream, reading):
     """Send one reading through the engine's admission path; returns the ack."""
     ack, _ = engine.handle_reading({
@@ -232,8 +311,8 @@ class TestConfig:
         cfg = load_threshold_overrides(path)
         by_name = {f.name: f for f in cfg.factors}
         assert by_name["temperature"].threshold == 0.5
-        assert by_name["date"].is_categorical is False
-        assert by_name["presence"].is_categorical is True
+        assert by_name["date"].threshold == 0.0
+        assert by_name["presence"].threshold is None
 
     def test_unknown_override_rejected(self, tmp_path):
         path = tmp_path / "thresholds.json"

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 from datetime import date, timedelta
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +13,7 @@ from conftest import GHOST_MODEL, HOME_APPLIANCES, home_text
 from homectx import ingest, rdf
 from homectx.dedup import DedupConfig
 from homectx.ingest import (
+    MAX_LINE_BYTES,
     ContextEngine,
     ProtocolError,
     TraceError,
@@ -280,6 +282,35 @@ class TestServe:
         assert client.reader.readline() == ""  # connection closed
         client.close()
 
+    def test_line_at_length_limit_is_served(self, server):
+        srv, _ = server
+        line = json.dumps(reading_msg()).encode()
+        line += b" " * (MAX_LINE_BYTES - len(line) - 1) + b"\n"
+        assert len(line) == MAX_LINE_BYTES
+        client = _Client(srv.server_address[1])
+        client.send_raw(line)
+        ack = client.recv()
+        assert ack["type"] == "ack" and ack["accepted"] is True
+        client.close()
+
+    @pytest.mark.parametrize("end", [b"", b"\n"], ids=["no-newline", "newline"])
+    def test_overlong_line_gets_error_then_close(self, server, end):
+        # Without a newline the server must answer once the limit is passed,
+        # not wait for the line to end.
+        srv, _ = server
+        line = json.dumps(reading_msg()).encode()
+        line += b" " * (MAX_LINE_BYTES + 1 - len(line) - len(end)) + end
+        client = _Client(srv.server_address[1])
+        client.send_raw(line)
+        assert client.recv() == {"type": "error", "message": "line too long"}
+        assert client.reader.readline() == ""  # connection closed
+        client.close()
+
+        good = _Client(srv.server_address[1])
+        good.send(reading_msg(stream="s9"))
+        assert good.recv()["accepted"] is True
+        good.close()
+
     def test_non_finite_reading_acked_and_connection_kept(self, server):
         srv, _ = server
         client = _Client(srv.server_address[1])
@@ -392,6 +423,13 @@ class TestReplay:
         with pytest.raises(TraceError, match="line 3"):
             replay(path)
 
+    def test_overlong_line_names_line(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(json.dumps(reading_msg()).encode() + b"\n"
+                         + b" " * MAX_LINE_BYTES + b"\n")
+        with pytest.raises(TraceError, match="line 2: line too long"):
+            replay(path)
+
     def test_invalid_model_refused_before_first_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text("not json\n")
@@ -399,19 +437,29 @@ class TestReplay:
             replay(path, store=TripleStore(rdf.parse_data(GHOST_MODEL)))
 
     def test_each_reading_parsed_once(self, tmp_path, monkeypatch):
-        calls = []
-        parse = ingest.parse_reading_payload
+        # The benchmark's per-layer tracing wraps these module globals of
+        # homectx.ingest; each layer must still be called through them.
+        calls = {}
 
-        def counted(msg):
-            calls.append(msg)
-            return parse(msg)
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            return counted
 
-        monkeypatch.setattr(ingest, "parse_reading_payload", counted)
+        for name in ("parse_reading_payload", "should_store", "reading_to_triples",
+                     "reason_at"):
+            monkeypatch.setattr(ingest, name, counting(name, getattr(ingest, name)))
+        monkeypatch.setattr(ingest, "json", SimpleNamespace(
+            loads=counting("json.loads", json.loads), dumps=json.dumps))
         lines = [reading_msg(time=f"1000{i:02d}", temp=21.0 + i) for i in range(7)]
         lines.insert(3, {"type": "tick", "time": "100003"})
         stats = replay(self.write_trace(tmp_path, lines))
         assert stats.input_count == 7
-        assert len(calls) == 7
+        assert stats.stored_count == 3  # 21, 24 and 27 degrees
+        assert calls == {"json.loads": 8, "parse_reading_payload": 7,
+                         "should_store": 7, "reading_to_triples": 3,
+                         "reason_at": 2}  # first reading's presence, the tick
 
     def test_serve_replay_equivalence(self, tmp_path, fixture_text):
         lines = [

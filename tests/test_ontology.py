@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -66,6 +67,23 @@ class TestReadingTriples:
 
     def test_reading_id_encodes_date_and_time(self):
         assert make_reading().id == home("_070411115500")
+
+    def test_cached_id_is_per_instance(self):
+        r = make_reading()
+        assert r.id == home("_070411115500")
+        moved = replace(r, time=TimeOfDay(18, 0, 0))
+        assert moved.id == home("_070411180000")
+        assert replace(moved, date=date(2008, 1, 2)).id == home("_080102180000")
+        assert r.id == home("_070411115500")
+
+    def test_cached_id_leaves_equality_and_hash(self):
+        read = make_reading()
+        assert read.id == home("_070411115500")  # now cached on ``read``
+        fresh = make_reading()
+        assert read == fresh and hash(read) == hash(fresh)
+        assert len({read, fresh}) == 1
+        assert fresh.id == read.id
+        assert read != replace(fresh, time=TimeOfDay(11, 55, 1))
 
     def test_round_trip(self):
         r = make_reading()
