@@ -110,7 +110,7 @@ def cmd_serve(args) -> int:
     except ontology.ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
-    except OSError as exc:  # e.g. the port is already in use
+    except (OSError, ValueError) as exc:  # port in use, bad --thresholds file
         print(f"serve error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     return EXIT_OK
@@ -128,20 +128,25 @@ def cmd_load(args) -> int:
 
 # --- synthetic trace generation ----------------------------------------------
 
+# Noise amplitudes, relative to each stream's base value, and the date of
+# every reading.  The amplitudes sit below the DEFAULT_FACTORS thresholds,
+# so noise alone never stores a reading and a replay stores exactly
+# streams + events readings.
+TEMPERATURE_NOISE = 0.04
+ILLUMINATION_NOISE = 0.2
+HUMIDITY_NOISE = 0.15
+START_DATE = "2007-04-11"
+
+
 @dataclass
 class TraceParams:
-    """Knobs for gen_trace; noise amplitudes must stay below the thresholds
-    for the stored_count = streams + events guarantee to hold."""
+    """Knobs for gen_trace."""
 
     streams: int = 10
     duration: int = 3600        # seconds
     rate: int = 1               # readings per second per stream
     events: int = 20
     seed: int = 42
-    temperature_noise: float = 0.04
-    illumination_noise: float = 0.2
-    humidity_noise: float = 0.15
-    start_date: str = "2007-04-11"
 
     def validate(self):
         if self.streams < 1 or self.duration < 1 or self.rate < 1:
@@ -150,12 +155,6 @@ class TraceParams:
             raise ValueError("events must be >= 0")
         if self.duration > 86400:
             raise ValueError("duration is capped at one day")
-        thresholds = {f.name: f.threshold for f in dedup.DEFAULT_FACTORS}
-        for name, amp in (("temperature", self.temperature_noise),
-                          ("illumination", self.illumination_noise),
-                          ("humidity", self.humidity_noise)):
-            if not 0 <= amp < thresholds[name]:
-                raise ValueError(f"{name} noise must be below threshold {thresholds[name]}")
 
 
 # Per-event base multiplier, chosen so the relative change is twice the
@@ -187,9 +186,9 @@ def gen_trace(out_path, params: TraceParams) -> dict:
     for i, slot in enumerate(event_slots):
         event_slots[slot] = _EVENT_FACTORS[i % len(_EVENT_FACTORS)]
 
-    amps = {"temperature": params.temperature_noise,
-            "humidity": params.humidity_noise,
-            "illumination": params.illumination_noise}
+    amps = {"temperature": TEMPERATURE_NOISE,
+            "humidity": HUMIDITY_NOISE,
+            "illumination": ILLUMINATION_NOISE}
     factor_index = {"temperature": 0, "humidity": 1, "illumination": 2}
     manifest_events = []
     lineno = 0
@@ -221,7 +220,7 @@ def gen_trace(out_path, params: TraceParams) -> dict:
                 fh.write(json.dumps({
                     "type": "reading",
                     "stream": f"s{stream}",
-                    "date": params.start_date,
+                    "date": START_DATE,
                     "time": time_label,
                     "temperature": temp,
                     "humidity": min(hum, 100.0),

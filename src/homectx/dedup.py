@@ -82,10 +82,15 @@ def load_threshold_overrides(path) -> DedupConfig:
     (a number) or the string "categorical"."""
     with open(path, encoding="utf-8") as fh:
         overrides = json.load(fh)
+    if not isinstance(overrides, dict):
+        raise ValueError("threshold file must hold a JSON object")
     factors = []
     for spec in DEFAULT_FACTORS:
         if spec.name in overrides:
             value = overrides[spec.name]
+            if not isinstance(value, (int, float, str)):
+                raise ValueError(f"threshold for {spec.name} must be a number "
+                                 'or "categorical"')
             factors.append(FactorSpec(spec.name,
                                       None if value == "categorical" else float(value)))
         else:

@@ -1,14 +1,16 @@
-"""Typed domain model of the home context hierarchy.
+"""The home model's vocabulary, environment readings, and the model check.
 
-Persons carry a priority, activities tie a person and a preference profile
-to a time of day, preference profiles map appliances to desired boolean
-states, and environment readings are timestamped sensor snapshots.  All of
-it maps bidirectionally onto triples in the home namespace.
+The home model is its triples: persons with a priority, activities that tie
+a person and a preference profile to a time of day, and profiles that map
+appliances to desired boolean states.  Reasoning queries them directly;
+``load_home_model`` only checks that they are well formed.  Environment
+readings are the one typed record: timestamped sensor snapshots that map
+onto triples and back (``reading_to_triples``/``triples_to_reading``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as Date
 from functools import cached_property
 
@@ -65,17 +67,6 @@ class TimeOfDay:
 
 
 @dataclass(frozen=True)
-class Person:
-    id: Iri
-    name: str
-    priority: int
-
-    def __post_init__(self):
-        if self.priority < 1:
-            raise ValueError(f"priority must be >= 1, got {self.priority}")
-
-
-@dataclass(frozen=True)
 class EnvironmentReading:
     """One timestamped sensor snapshot; the id is derived from date + time."""
 
@@ -99,34 +90,6 @@ class EnvironmentReading:
         hashing ignore it."""
         stamp = f"{self.date.year % 100:02d}{self.date.month:02d}{self.date.day:02d}"
         return home(f"_{stamp}{self.time.label}")
-
-
-@dataclass(frozen=True)
-class Activity:
-    id: Iri
-    when: TimeOfDay
-    who: Iri
-    does: Iri
-
-
-@dataclass(frozen=True)
-class PreferenceProfile:
-    id: Iri
-    appliance_states: dict  # appliance Iri -> bool; open-ended, not an enum
-
-    def __post_init__(self):
-        if not self.appliance_states:
-            raise ValueError(f"preference profile {self.id.written} has no appliances")
-
-    def __hash__(self):
-        return hash(self.id)
-
-
-@dataclass
-class HomeModel:
-    persons: dict = field(default_factory=dict)       # Iri -> Person
-    activities: dict = field(default_factory=dict)    # Iri -> Activity
-    preferences: dict = field(default_factory=dict)   # Iri -> PreferenceProfile
 
 
 def format_double(value: float) -> str:
@@ -200,31 +163,30 @@ def triples_to_reading(store: TripleStore, rid: Iri) -> EnvironmentReading:
     )
 
 
-def load_home_model(store: TripleStore) -> HomeModel:
-    """Collect persons, activities and preference profiles, checking references.
+def load_home_model(store: TripleStore) -> None:
+    """Check that the store holds a valid home model; raise ModelError if not.
 
     A person is any subject with both :name and :hasPriority; an activity any
     subject with :When/:Who/:Do; a preference profile any :Do target carrying
     at least one boolean-valued property (the fixture carries no rdf:type
     triples, so discovery is structural).  Every :hasPriority must be an
-    xsd:positiveInteger.
+    xsd:positiveInteger.  All shapes are checked first, then each activity's
+    person and profile.
 
     Reading triples carry only environment predicates and no boolean
     objects, so nothing here reads them: a store that passes stays valid
     as readings are inserted.
     """
-    model = HomeModel()
+    persons = set()
     for t in store.match(TriplePattern(Variable("s"), P_PRIORITY, Variable("o"))):
         # reasoning reads every :hasPriority, named subject or not, as an int
         if not (isinstance(t.object, Literal) and t.object.datatype == XSD_POSITIVE_INTEGER):
             raise ModelError(f"hasPriority on {t.subject.written} must be an "
                              "xsd:positiveInteger")
-        name_obj = _single_object(store, t.subject, P_NAME)
-        if name_obj is None or not isinstance(name_obj, Literal):
-            continue
-        priority = int(t.object.lexical)
-        model.persons[t.subject] = Person(t.subject, name_obj.lexical, priority)
+        if isinstance(_single_object(store, t.subject, P_NAME), Literal):
+            persons.add(t.subject)
 
+    activities = {}  # activity Iri -> (who, does)
     for t in store.match(TriplePattern(Variable("s"), P_WHEN, Variable("o"))):
         who = _single_object(store, t.subject, P_WHO)
         does = _single_object(store, t.subject, P_DO)
@@ -235,27 +197,19 @@ def load_home_model(store: TripleStore) -> HomeModel:
         if not isinstance(who, Iri) or not isinstance(does, Iri):
             raise ModelError(f"Who/Do on {t.subject.written} must be resources")
         try:
-            when = TimeOfDay.from_label(t.object.local)
+            TimeOfDay.from_label(t.object.local)
         except ValueError as exc:
             raise ModelError(str(exc)) from None
-        model.activities[t.subject] = Activity(t.subject, when, who, does)
+        activities[t.subject] = (who, does)
 
-    for activity in model.activities.values():
-        if activity.who not in model.persons:
-            raise ModelError(
-                f"activity {activity.id.written} references unknown person "
-                f"{activity.who.written}"
-            )
-        if activity.does not in model.preferences:
-            states = {
-                t.predicate: t.object.lexical == "true"
-                for t in store.match(TriplePattern(activity.does, Variable("p"), Variable("o")))
-                if isinstance(t.object, Literal) and t.object.datatype == XSD_BOOLEAN
-            }
-            if not states:
-                raise ModelError(
-                    f"activity {activity.id.written} references unknown preference "
-                    f"{activity.does.written}"
-                )
-            model.preferences[activity.does] = PreferenceProfile(activity.does, states)
-    return model
+    profiles = set()  # each profile is checked once, however many activities name it
+    for activity, (who, does) in activities.items():
+        if who not in persons:
+            raise ModelError(f"activity {activity.written} references unknown person "
+                             f"{who.written}")
+        if does not in profiles:
+            if not any(isinstance(t.object, Literal) and t.object.datatype == XSD_BOOLEAN
+                       for t in store.match(TriplePattern(does, Variable("p"), Variable("o")))):
+                raise ModelError(f"activity {activity.written} references unknown "
+                                 f"preference {does.written}")
+            profiles.add(does)

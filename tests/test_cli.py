@@ -5,6 +5,7 @@ import pytest
 
 from conftest import GHOST_MODEL
 from homectx import cli, ingest
+from homectx.dedup import DEFAULT_FACTORS
 from homectx.cli import TraceParams, gen_trace, main
 from homectx.ingest import replay
 
@@ -90,6 +91,26 @@ class TestServe:
         assert err.startswith("serve error: ") and err.count("\n") == 1
         assert "Traceback" not in err and "listening" not in err
 
+    @pytest.mark.parametrize("content, reason", [
+        ("{not json", "Expecting property name"),
+        ('{"temperature": "x"}', "could not convert string to float"),
+        ('{"temperature": null}', 'threshold for temperature must be a number'),
+        ('["temperature"]', "threshold file must hold a JSON object"),
+    ], ids=["invalid-json", "bad-value", "null-value", "not-an-object"])
+    def test_bad_thresholds_exit_1_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                 content, reason):
+        def no_bind(*args):
+            raise AssertionError("bound a server with a bad thresholds file")
+
+        monkeypatch.setattr(ingest, "ContextServer", no_bind)
+        thresholds = tmp_path / "bad.json"
+        thresholds.write_text(content)
+        assert main(["serve", *fixture_args(), "--port", "0",
+                     "--thresholds", str(thresholds)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("serve error: ") and err.count("\n") == 1
+        assert reason in err and "Traceback" not in err
+
 
 @pytest.fixture()
 def ghost_args(tmp_path):
@@ -163,10 +184,12 @@ class TestGenTrace:
         stats = replay(out)
         assert stats.stored_count == params.streams + params.events
 
-    def test_noise_above_threshold_rejected(self, tmp_path):
-        params = TraceParams(temperature_noise=0.2)
-        with pytest.raises(ValueError, match="below threshold"):
-            gen_trace(tmp_path / "x.jsonl", params)
+    def test_noise_below_thresholds(self):
+        # noise alone must never store a reading, or stored != streams + events
+        thresholds = {f.name: f.threshold for f in DEFAULT_FACTORS}
+        assert 0 <= cli.TEMPERATURE_NOISE < thresholds["temperature"]
+        assert 0 <= cli.ILLUMINATION_NOISE < thresholds["illumination"]
+        assert 0 <= cli.HUMIDITY_NOISE < thresholds["humidity"]
 
 
 class TestReplayCommand:
@@ -184,8 +207,7 @@ class TestReplayCommand:
 
     def test_threshold_overrides_change_outcome(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
-        gen_trace(trace, TraceParams(streams=1, duration=50, events=0, seed=4,
-                                     temperature_noise=0.04))
+        gen_trace(trace, TraceParams(streams=1, duration=50, events=0, seed=4))
         overrides = tmp_path / "thresholds.json"
         overrides.write_text('{"temperature": 0.001}')
         stats_default = replay(trace)

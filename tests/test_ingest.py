@@ -8,6 +8,8 @@ from datetime import date, timedelta
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GHOST_MODEL, HOME_APPLIANCES, home_text
 from homectx import ingest, rdf
@@ -388,6 +390,84 @@ class TestServe:
         commands = [client.recv() for _ in range(4)]
         assert all(c["person"] == "Father" for c in commands)
         client.close()
+
+
+# --- protocol fuzzing: any byte line against the wire contract
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+_FIELDS = st.sampled_from(["stream", "date", "time", "temperature", "humidity",
+                           "illumination", "present"]) | st.text(max_size=6)
+_TYPES = st.sampled_from(["hello", "reading", "tick", "ack", "command"]) | _JSON_VALUES
+_OBJECTS = (
+    st.builds(lambda kind, fields: {"type": kind, **fields},
+              _TYPES, st.dictionaries(_FIELDS, _JSON_VALUES, max_size=7))
+    | st.builds(lambda kind, fields: {**reading_msg(), "type": kind, **fields},
+                _TYPES, st.dictionaries(_FIELDS, _JSON_VALUES, max_size=2))
+    | st.dictionaries(_FIELDS, _JSON_VALUES, max_size=4))
+_LINES = (
+    st.binary(max_size=200)
+    | _OBJECTS.map(lambda obj: json.dumps(obj).encode("utf-8"))
+    | st.text(" \t\r\x0b\x0c\x1c\u2028", max_size=4).map(str.encode)
+).map(lambda raw: raw.replace(b"\n", b"") + b"\n")
+
+
+def _is_blank(line: bytes) -> bool:
+    try:
+        return not line.decode("utf-8").strip()
+    except UnicodeDecodeError:
+        return False
+
+
+def _exchange(port: int, line: bytes) -> list[bytes]:
+    """Send one line on a fresh connection, half-close, read until the close."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(line)
+        sock.shutdown(socket.SHUT_WR)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    return data.splitlines()
+
+
+class TestProtocolFuzz:
+    def test_any_line_keeps_the_wire_contract(self, fixture_store, capfd):
+        srv = start_server(("127.0.0.1", 0), ContextEngine(fixture_store))
+        port = srv.server_address[1]
+
+        @given(_LINES)
+        @settings(max_examples=200, deadline=None)
+        def one_line(line):
+            replies = [json.loads(r) for r in _exchange(port, line)]
+            assert "Traceback" not in capfd.readouterr().err
+            if not replies:
+                assert _is_blank(line)
+            assert all(isinstance(r, dict) for r in replies)
+            kinds = [r.get("type") for r in replies]
+            assert kinds.count("ack") <= 1
+            try:
+                msg = json.loads(line)
+            except ValueError:
+                msg = None
+            if isinstance(msg, dict) and msg.get("type") == "reading":
+                assert kinds.count("ack") == 1
+            assert kinds.count("error") <= 1
+            if "error" in kinds:
+                assert kinds[-1] == "error"
+
+        try:
+            one_line()
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as sock, \
+                    sock.makefile("r", encoding="utf-8") as reader:
+                sock.sendall((json.dumps(reading_msg(stream="after-fuzz")) + "\n").encode())
+                ack = json.loads(reader.readline())
+            assert ack["type"] == "ack" and ack["accepted"] is True
+        finally:
+            srv.shutdown()
+            srv.server_close()
 
 
 class TestReplay:

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_reading
+from conftest import GHOST_MODEL, rand_reading
 from homectx import rdf
 from homectx.ontology import (
     EnvironmentReading,
     ModelError,
-    Person,
     TimeOfDay,
     load_home_model,
     reading_to_triples,
@@ -40,12 +39,6 @@ class TestTimeOfDay:
             TimeOfDay(24, 0, 0)
         with pytest.raises(ValueError):
             TimeOfDay.from_label("9999")
-
-
-class TestPerson:
-    def test_priority_floor(self):
-        with pytest.raises(ValueError):
-            Person(home("X"), "x", 0)
 
 
 class TestReadingTriples:
@@ -114,19 +107,51 @@ class TestReadingTriples:
                                date=date(2007, 4, 11), time=TimeOfDay(0, 0, 0))
 
 
-class TestHomeModel:
-    def test_fixture_model(self, fixture_store):
-        model = load_home_model(fixture_store)
-        assert {p.name: p.priority for p in model.persons.values()} == \
-            {"John": 8, "Tom": 5}
-        assert set(model.activities) == {home("ofChildren"), home("ofFather")}
-        assert set(model.preferences) == {home("Self-study"), home("Entertain")}
-        assert model.preferences[home("Self-study")].appliance_states[home("TV")] is False
-        assert model.preferences[home("Entertain")].appliance_states[home("TV")] is True
+def verdict(store):
+    """None when the store holds a valid home model, else the ModelError message."""
+    try:
+        assert load_home_model(store) is None
+    except ModelError as exc:
+        return str(exc)
+    return None
 
+
+# A valid one-person home; each fault case below adds one activity :a.
+BASE_MODEL = """
+    :Dad :name "Dad"^^xsd:string .
+    :Dad :hasPriority "8"^^xsd:positiveInteger .
+    :Nap :Light "false"^^xsd:boolean .
+"""
+
+
+class TestHomeModel:
     def test_empty_store(self):
-        model = load_home_model(TripleStore())
-        assert not model.persons and not model.activities and not model.preferences
+        assert verdict(TripleStore()) is None
+
+    @pytest.mark.parametrize("activity, message", [
+        (":a :When :_180000 . :a :Who :Dad . :a :Do :Nap .", None),
+        (':a :When "180000"^^xsd:string . :a :Who :Dad . :a :Do :Nap .',
+         "When on :a must name a time resource"),
+        (':a :When :_180000 . :a :Who "Dad"^^xsd:string . :a :Do :Nap .',
+         "Who/Do on :a must be resources"),
+        (':a :When :_180000 . :a :Who :Dad . :a :Do "Nap"^^xsd:string .',
+         "Who/Do on :a must be resources"),
+        (":a :When :_1800 . :a :Who :Dad . :a :Do :Nap .",
+         "time label must be 6 digits, got '_1800'"),
+        (":a :When :_250000 . :a :Who :Dad . :a :Do :Nap .",
+         "invalid time of day 25:0:0"),
+        (":a :When :_180000 . :a :Who :Ghost . :a :Do :Nap .",
+         "activity :a references unknown person :Ghost"),
+        (":a :When :_180000 . :a :Who :Dad . :a :Do :Missing .",
+         "activity :a references unknown preference :Missing"),
+        (':a :When :_180000 . :a :Who :Dad . :a :Do :Nap . '
+         ':Dad :hasPriority "8"^^xsd:string .',
+         "hasPriority on :Dad must be an xsd:positiveInteger"),
+    ], ids=["valid", "when-literal", "who-literal", "do-literal", "short-label",
+            "hour-25", "unknown-person", "unknown-profile", "priority-string"])
+    def test_fault_message(self, activity, message):
+        store = TripleStore(rdf.parse_data(BASE_MODEL + activity))
+        assert verdict(store) == message
 
     def test_dangling_person_reference(self):
         store = TripleStore(rdf.parse_data("""
@@ -156,19 +181,20 @@ class TestHomeModel:
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
     def test_readings_leave_model_unchanged(self, fixture_text, rng):
-        store = TripleStore(rdf.parse_data(fixture_text))
-        before = load_home_model(store)
-        for triple in reading_to_triples(rand_reading(rng)):
-            store.insert(triple)
-        assert load_home_model(store) == before
+        for text in (fixture_text, GHOST_MODEL):
+            store = TripleStore(rdf.parse_data(text))
+            before = verdict(store)
+            for triple in reading_to_triples(rand_reading(rng)):
+                store.insert(triple)
+            assert verdict(store) == before
 
-    def test_order_independence(self, fixture_store):
-        triples = list(fixture_store)
+    def test_order_independence(self, fixture_text):
+        expected = {fixture_text: None,
+                    GHOST_MODEL: "activity :a references unknown person :Ghost"}
         rng = random.Random(3)
-        baseline = load_home_model(fixture_store)
-        for _ in range(5):
-            rng.shuffle(triples)
-            model = load_home_model(TripleStore(triples))
-            assert model.persons == baseline.persons
-            assert model.activities == baseline.activities
-            assert model.preferences == baseline.preferences
+        for text, message in expected.items():
+            triples = rdf.parse_data(text)
+            assert verdict(TripleStore(triples)) == message
+            for _ in range(5):
+                rng.shuffle(triples)
+                assert verdict(TripleStore(triples)) == message
