@@ -110,7 +110,8 @@ def cmd_serve(args) -> int:
     except ontology.ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
-    except (OSError, ValueError) as exc:  # port in use, bad --thresholds file
+    except (OSError, OverflowError, ValueError) as exc:
+        # port in use or out of range, bad --thresholds file
         print(f"serve error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     return EXIT_OK

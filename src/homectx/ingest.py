@@ -16,6 +16,7 @@ import sys
 import threading
 from dataclasses import dataclass, field, replace
 from datetime import date as Date
+from typing import NamedTuple
 
 from .dedup import DedupConfig, should_store
 from .ontology import (
@@ -24,7 +25,7 @@ from .ontology import (
     load_home_model,
     reading_to_triples,
 )
-from .rdf import Iri, TripleStore, home
+from .rdf import Iri, TripleStore, home, term_key
 from .sparql import Query, evaluate, parse_query, substitute
 
 
@@ -42,8 +43,7 @@ class TraceError(ValueError):
     """Malformed or out-of-order trace file."""
 
 
-@dataclass(frozen=True)
-class ApplianceCommand:
+class ApplianceCommand(NamedTuple):
     appliance: Iri
     state: bool
     person: Iri
@@ -88,20 +88,16 @@ def reason_at(store: TripleStore, t: TimeOfDay) -> list[ApplianceCommand]:
     """Appliance commands for time ``t``: one per appliance, highest priority wins.
 
     Ties resolve to state True (serve at least one occupant), then to person
-    name order, so the result is fully deterministic.  The store's home
-    model must have passed ``load_home_model``; ContextEngine checks it once,
-    when it is built.
+    name order, then to activity term order: ``_beats`` is a total order, so
+    the result does not depend on the order of the query's rows.  The
+    store's home model must have passed ``load_home_model``; ContextEngine
+    checks it once, when it is built.
     """
     table = evaluate(store, preference_query(t))
     best: dict[Iri, ApplianceCommand] = {}
     for person, what, appliance, status, priority in table.rows:
-        cmd = ApplianceCommand(
-            appliance=appliance,
-            state=status.lexical == "true",
-            person=person,
-            activity=what,
-            priority=int(priority.lexical),
-        )
+        cmd = ApplianceCommand(appliance, status.lexical == "true", person, what,
+                               int(priority.lexical))
         prev = best.get(appliance)
         if prev is None or _beats(cmd, prev):
             best[appliance] = cmd
@@ -113,7 +109,9 @@ def _beats(a: ApplianceCommand, b: ApplianceCommand) -> bool:
         return a.priority > b.priority
     if a.state != b.state:
         return a.state
-    return a.person.written < b.person.written
+    if a.person != b.person:
+        return a.person.written < b.person.written
+    return term_key(a.activity) < term_key(b.activity)
 
 
 def decode_line(raw: bytes) -> dict | None:

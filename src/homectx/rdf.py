@@ -1,4 +1,9 @@
-"""RDF terms, triples, an indexed in-memory store, and a small Turtle dialect.
+"""RDF terms, triples, a dictionary-encoded in-memory store, and a small
+Turtle dialect.
+
+The store interns each term to an int id on insert and holds triples only
+as id tuples in its indexes, as RDF-3X and Hexastore do; ``match`` decodes
+ids to triples at its output, and the SPARQL join probes the indexes on ids.
 
 The dialect is deliberately tiny: ``@prefix`` declarations, one
 ``subject predicate object .`` statement per dot, prefixed names, typed
@@ -190,9 +195,28 @@ class TriplePattern:
 
 _EMPTY: frozenset = frozenset()
 
+# The positions (0 subject, 1 predicate, 2 object) whose ids key the index a
+# pattern is looked up in, by which positions the pattern knows.  Every key
+# holds the known subject and predicate; a known object outside the key is
+# checked against each candidate.
+_KEY_POSITIONS = {
+    (True, True, True): (0, 1), (True, True, False): (0, 1),
+    (True, False, True): (0,), (True, False, False): (0,),
+    (False, True, True): (1, 2), (False, True, False): (1,),
+    (False, False, True): (2,), (False, False, False): (),
+}
+
 
 class TripleStore:
-    """Set of triples with (S), (P), (O), (S,P) and (P,O) lookup indexes.
+    """Set of triples, dictionary-encoded, with (S), (P), (O), (S,P) and
+    (P,O) lookup indexes.
+
+    Each term is interned to an int id once, when ``insert`` first sees it:
+    ``terms[i]`` is the term with id ``i`` and ``term_keys[i]`` its
+    ``term_key``.  A triple is held only as its ``(s, p, o)`` id tuple.  Each
+    index maps the tuple of ids at its key positions to the set of id tuples
+    holding them.  ``match`` decodes ids to Triples only at its output; the
+    SPARQL join probes the indexes on ids (``index_for``).
 
     Not thread-safe: callers serialize all access, reads included, since a
     read iterates index sets that an insert may grow.  ContextEngine holds
@@ -200,70 +224,96 @@ class TripleStore:
     """
 
     def __init__(self, triples=None):
-        self._triples: set[Triple] = set()
+        self.terms: list[Term] = []
+        self.term_keys: list[tuple] = []
+        self._ids: dict[Term, int] = {}
+        self._by_datatype: dict[Iri, set[int]] = {}
+        self._spo: set[tuple[int, int, int]] = set()
         self._by_s: dict = {}
         self._by_p: dict = {}
         self._by_o: dict = {}
         self._by_sp: dict = {}
         self._by_po: dict = {}
+        self._indexes = {(0,): self._by_s, (1,): self._by_p, (2,): self._by_o,
+                         (0, 1): self._by_sp, (1, 2): self._by_po,
+                         (): {(): self._spo}}
         if triples:
             for t in triples:
                 self.insert(t)
 
     def __len__(self):
-        return len(self._triples)
+        return len(self._spo)
 
     def __contains__(self, t: Triple):
-        return t in self._triples
+        ids = self._ids
+        return (ids.get(t.subject), ids.get(t.predicate), ids.get(t.object)) in self._spo
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self._triples, key=Triple.sort_key))
+        return iter(self._decoded(self._spo))
+
+    def _intern(self, term: Term) -> int:
+        i = self._ids.get(term)
+        if i is None:
+            i = self._ids[term] = len(self.terms)
+            self.terms.append(term)
+            self.term_keys.append(term_key(term))
+            if isinstance(term, Literal):
+                self._by_datatype.setdefault(term.datatype, set()).add(i)
+        return i
 
     def insert(self, t: Triple) -> bool:
         """Add a triple; returns True iff it was not already present."""
-        if t in self._triples:
+        spo = (self._intern(t.subject), self._intern(t.predicate), self._intern(t.object))
+        if spo in self._spo:
             return False
-        self._triples.add(t)
-        self._by_s.setdefault(t.subject, set()).add(t)
-        self._by_p.setdefault(t.predicate, set()).add(t)
-        self._by_o.setdefault(t.object, set()).add(t)
-        self._by_sp.setdefault((t.subject, t.predicate), set()).add(t)
-        self._by_po.setdefault((t.predicate, t.object), set()).add(t)
+        s, p, o = spo
+        self._spo.add(spo)
+        self._by_s.setdefault((s,), set()).add(spo)
+        self._by_p.setdefault((p,), set()).add(spo)
+        self._by_o.setdefault((o,), set()).add(spo)
+        self._by_sp.setdefault((s, p), set()).add(spo)
+        self._by_po.setdefault((p, o), set()).add(spo)
         return True
 
+    def term_id(self, term: Term) -> int:
+        """The term's id; -1, which no triple holds, for a term not in the store."""
+        return self._ids.get(term, -1)
+
+    def literal_ids(self, datatype: Iri):
+        """Ids of the stored literals of ``datatype``."""
+        return self._by_datatype.get(datatype, _EMPTY)
+
+    def index_for(self, known) -> tuple[tuple, dict]:
+        """(positions, index) for a pattern that knows the ids at the
+        ``known`` positions, a (subject, predicate, object) triple of bools.
+        ``index.get(key)``, for the tuple of the ids at ``positions``, is the
+        one set of id tuples holding every match."""
+        positions = _KEY_POSITIONS[known]
+        return positions, self._indexes[positions]
+
     def _lookup(self, pattern: TriplePattern):
-        """(s, p, o, candidates): the pattern's constants, None for each
-        variable, and the one index set that holds every match."""
-        s = pattern.subject if isinstance(pattern.subject, Iri) else None
-        p = pattern.predicate if isinstance(pattern.predicate, Iri) else None
-        o = pattern.object if not isinstance(pattern.object, Variable) else None
-        if s is not None and p is not None:
-            candidates = self._by_sp.get((s, p), _EMPTY)
-        elif p is not None and o is not None:
-            candidates = self._by_po.get((p, o), _EMPTY)
-        elif s is not None:
-            candidates = self._by_s.get(s, _EMPTY)
-        elif p is not None:
-            candidates = self._by_p.get(p, _EMPTY)
-        elif o is not None:
-            candidates = self._by_o.get(o, _EMPTY)
-        else:
-            candidates = self._triples
-        return s, p, o, candidates
+        """(ids, candidates): the ids of the pattern's constants, None for
+        each variable, and the one index set that holds every match."""
+        ids = [None if isinstance(t, Variable) else self.term_id(t)
+               for t in (pattern.subject, pattern.predicate, pattern.object)]
+        positions, index = self.index_for((ids[0] is not None, ids[1] is not None,
+                                           ids[2] is not None))
+        return ids, index.get(tuple([ids[k] for k in positions]), _EMPTY)
+
+    def _decoded(self, spos) -> list[Triple]:
+        """Id tuples to Triples, in canonical order."""
+        keys, terms = self.term_keys, self.terms
+        ordered = sorted(spos, key=lambda t: (keys[t[0]], keys[t[1]], keys[t[2]]))
+        return [Triple(terms[s], terms[p], terms[o]) for s, p, o in ordered]
 
     def candidate_count(self, pattern: TriplePattern) -> int:
         """Size of the index set ``match`` scans: a bound on its result size."""
-        return len(self._lookup(pattern)[3])
+        return len(self._lookup(pattern)[1])
 
     def match(self, pattern: TriplePattern) -> list[Triple]:
         """All triples unifying with the pattern, in canonical order."""
-        s, p, o, candidates = self._lookup(pattern)
-        out = [t for t in candidates
-               if (s is None or t.subject == s)
-               and (p is None or t.predicate == p)
-               and (o is None or t.object == o)]
-        out.sort(key=Triple.sort_key)
-        return out
+        (_, _, o), candidates = self._lookup(pattern)
+        return self._decoded(t for t in candidates if o is None or t[2] == o)
 
 
 # --- Turtle-subset lexer/parser ---------------------------------------------

@@ -6,13 +6,16 @@ ORDER BY ASC/DESC.  Anything beyond the subset fails loudly by feature
 name.  Evaluation is an index-backed nested-loop join in a greedy
 selectivity-first order (RDF-3X's, with the store's index sizes as its
 statistics), planned once per query; results do not depend on the written
-pattern order, and are pinned to a brute-force oracle in the tests.
+pattern order, and are pinned to a brute-force oracle in the tests.  The
+join, filter, projection, DISTINCT and sort run on the store's term ids;
+terms are decoded for the result rows only.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 from .rdf import (
@@ -24,6 +27,7 @@ from .rdf import (
     TripleStore,
     Variable,
     _Lexer,
+    _EMPTY,
     _resolve,
     term_key,
     xsd,
@@ -257,48 +261,76 @@ def _plan(store: TripleStore, patterns: list) -> list:
     return order
 
 
-def _solutions(store: TripleStore, patterns: list) -> list[dict]:
-    """Nested-loop join in planned order; one binding per solution."""
-    bindings = [{}]
+def _tuple_getter(positions):
+    """Function from a sequence to the tuple of its items at ``positions``:
+    itemgetter, except that one position gives a 1-tuple too."""
+    if len(positions) == 1:
+        position = positions[0]
+        return lambda seq: (seq[position],)
+    return itemgetter(*positions) if positions else lambda seq: ()
+
+
+def _solutions(store: TripleStore, patterns: list) -> tuple[dict, list[tuple]]:
+    """Nested-loop join on ids, in planned order.
+
+    A solution is a tuple of ids with one slot per term: the patterns'
+    constants first, then each variable in the order the plan binds it.
+    Returns the slot of each term and the solutions.  A literal bound into
+    a subject or predicate slot matches nothing, since no index holds a
+    literal's id there.
+    """
+    slots: dict = {}
+    for pattern in patterns:
+        for term in (pattern.subject, pattern.predicate, pattern.object):
+            if not isinstance(term, Variable):
+                slots.setdefault(term, len(slots))
+    rows = [tuple(store.term_id(term) for term in slots)]
     for pattern in _plan(store, patterns):
-        next_bindings = []
-        for binding in bindings:
-            concrete = substitute(pattern, binding)
-            if concrete is None:
-                continue
-            for triple in store.match(concrete):
-                extended = dict(binding)
-                for pos, val in ((concrete.subject, triple.subject),
-                                 (concrete.predicate, triple.predicate),
-                                 (concrete.object, triple.object)):
-                    if isinstance(pos, Variable):
-                        # a variable repeated within one pattern must bind
-                        # the same term in every position
-                        if extended.setdefault(pos.name, val) != val:
-                            break
+        terms = (pattern.subject, pattern.predicate, pattern.object)
+        known = tuple(term in slots for term in terms)
+        positions, index = store.index_for(known)
+        key = _tuple_getter([slots[terms[k]] for k in positions])
+        # a known object outside the index key is checked per candidate
+        check = slots[terms[2]] if known[2] and 2 not in positions else None
+        new, repeats = [], []  # positions binding a variable; a repeat must match
+        for k in range(3):
+            if not known[k]:
+                first = next((j for j in new if terms[j] == terms[k]), None)
+                if first is None:
+                    new.append(k)
+                    slots[terms[k]] = len(slots)
                 else:
-                    next_bindings.append(extended)
-        bindings = next_bindings
-    return bindings
+                    repeats.append((k, first))
+        bind = _tuple_getter(new)
+        get = index.get
+        next_rows = []
+        for row in rows:
+            for t in get(key(row), _EMPTY):
+                if check is not None and t[2] != row[check]:
+                    continue
+                if repeats and any(t[k] != t[j] for k, j in repeats):
+                    continue
+                next_rows.append(row + bind(t))
+        rows = next_rows
+    return slots, rows
 
 
-def _passes(binding: dict, filters: list) -> bool:
-    for f in filters:
-        term = binding.get(f.variable.name)
-        if not (isinstance(term, Literal) and term.datatype == f.datatype):
-            return False
-    return True
+def _id_rows(store: TripleStore, query: Query, extra) -> list[tuple]:
+    """Filtered solutions projected onto the query's projection and then the
+    ``extra`` variables, as id tuples."""
+    slots, rows = _solutions(store, query.patterns)
+    for f in query.filters:
+        ids, slot = store.literal_ids(f.datatype), slots[f.variable]
+        rows = [r for r in rows if r[slot] in ids]
+    project = _tuple_getter([slots[v] for v in (*query.projection, *extra)])
+    return [project(r) for r in rows]
 
 
 def project_solutions(store: TripleStore, query: Query, extra=()) -> list[tuple]:
     """Projected rows before DISTINCT and sorting, each followed by the terms
     of the ``extra`` variables (the oracle tests pass none)."""
-    variables = [v.name for v in query.projection] + [v.name for v in extra]
-    return [
-        tuple(binding[name] for name in variables)
-        for binding in _solutions(store, query.patterns)
-        if _passes(binding, query.filters)
-    ]
+    decode = store.terms.__getitem__
+    return [tuple(map(decode, r)) for r in _id_rows(store, query, extra)]
 
 
 def _order_value(term):
@@ -312,22 +344,30 @@ def _order_value(term):
 def evaluate(store: TripleStore, query: Query) -> ResultTable:
     """Evaluate the query: join, filter, project, DISTINCT, sort.
 
-    Each row carries the terms of its ORDER BY keys, projected or not, out
-    of the one join.  Ties on every key fall back to the row's own terms.
+    Everything runs on ids; terms are decoded for the output rows only.
+    Each row carries the ids of its ORDER BY keys, projected or not, out of
+    the one join.  Ties on every key fall back to the row's own terms.
     """
     width = len(query.projection)
-    rows = project_solutions(store, query, [k.variable for k in query.order_keys])
+    rows = _id_rows(store, query, [k.variable for k in query.order_keys])
     if query.distinct:
         rows = list(dict.fromkeys(rows))  # exact (row, keys) duplicates
-    rows.sort(key=lambda r: [term_key(t) for t in r[:width]])
+    # each id's rank in the canonical term order, among the ids in the rows
+    ranked = sorted(set().union(*rows), key=store.term_keys.__getitem__)
+    rank = dict(zip(ranked, range(len(ranked)))).__getitem__
+    rows.sort(key=lambda r: tuple(map(rank, r[:width])))
     # stable sorts, last key first, give the lexicographic key order
     for i in reversed(range(len(query.order_keys))):
-        rows.sort(key=lambda r: _order_value(r[width + i]),
+        column = width + i
+        value = {j: _order_value(store.terms[j]) for j in {r[column] for r in rows}}
+        rows.sort(key=lambda r: value[r[column]],
                   reverse=query.order_keys[i].descending)
     rows = [r[:width] for r in rows]
     if query.distinct:
         rows = list(dict.fromkeys(rows))  # each row at its first occurrence
-    return ResultTable(header=list(query.projection), rows=rows)
+    decode = store.terms.__getitem__
+    return ResultTable(header=list(query.projection),
+                       rows=[tuple(map(decode, r)) for r in rows])
 
 
 # --- presentation ------------------------------------------------------------

@@ -41,3 +41,6 @@ def test_tracing_hooks_cover_a_replay(tmp_path):
     layer = json.loads(done.stdout.splitlines()[-1])
     assert layer["ingest.parse_reading_payload.calls_per_reading"] == 1.0
     assert layer["ontology.load_home_model.ms_per_call"] > 0
+    # the first stored reading reasons, through ingest.reason_at and ingest.evaluate
+    assert layer["ingest.reason_at.calls"] >= 1
+    assert layer["sparql.evaluate.ms_per_call"] > 0

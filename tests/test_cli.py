@@ -91,6 +91,13 @@ class TestServe:
         assert err.startswith("serve error: ") and err.count("\n") == 1
         assert "Traceback" not in err and "listening" not in err
 
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_port_out_of_range_exits_1_with_one_line(self, capsys, port):
+        assert main(["serve", *fixture_args(), "--port", port]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("serve error: ") and err.count("\n") == 1
+        assert "0-65535" in err and "Traceback" not in err and "listening" not in err
+
     @pytest.mark.parametrize("content, reason", [
         ("{not json", "Expecting property name"),
         ('{"temperature": "x"}', "could not convert string to float"),

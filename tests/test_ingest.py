@@ -1,4 +1,5 @@
 import json
+import random
 import socket
 import struct
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GHOST_MODEL, HOME_APPLIANCES, home_text
+from conftest import GHOST_MODEL, HOME_APPLIANCES, HOME_SLOTS, brute_force_rows, home_text
 from homectx import ingest, rdf
 from homectx.dedup import DedupConfig
 from homectx.ingest import (
@@ -19,12 +20,13 @@ from homectx.ingest import (
     ContextEngine,
     ProtocolError,
     TraceError,
+    preference_query,
     reason_at,
     replay,
     start_server,
 )
 from homectx.ontology import ModelError, TimeOfDay
-from homectx.rdf import TripleStore, home
+from homectx.rdf import TripleStore, home, term_key
 
 FIG_COMMANDS_18H = {
     ("TV", False), ("AirConditioner", True), ("Light", True), ("Projector", True),
@@ -90,21 +92,106 @@ class TestReasonAt:
         assert a == b
 
     def test_match_calls_linear_in_present_persons(self, monkeypatch):
-        # a join in written order crosses activities with records first
+        # a join in written order crosses activities with records first; a
+        # probe is one index lookup, for one partial solution and pattern
         persons = 100
         store = TripleStore(rdf.parse_data(home_text(persons, seed=7, present=persons)))
         ContextEngine(store)  # the home model is valid
-        calls = []
-        match = TripleStore.match
+        probes = []
+        index_for = TripleStore.index_for
 
-        def counted(self, pattern):
-            calls.append(pattern)
-            return match(self, pattern)
+        class CountedIndex(dict):
+            def get(self, key, default=None):
+                probes.append(key)
+                return super().get(key, default)
 
-        monkeypatch.setattr(TripleStore, "match", counted)
+        def counted(self, known):
+            positions, index = index_for(self, known)
+            return positions, CountedIndex(index)
+
+        monkeypatch.setattr(TripleStore, "index_for", counted)
         commands = reason_at(store, TimeOfDay(18, 0, 0))
         assert len(commands) == len(HOME_APPLIANCES)
-        assert len(calls) <= 10 * persons
+        assert persons <= len(probes) <= 10 * persons
+
+    @staticmethod
+    def tied_profiles_store(rng):
+        # one person, two activities at 18:00 whose profiles both set :Light true
+        lines = """
+            :P :name "P"^^xsd:string .
+            :P :hasPriority "3"^^xsd:positiveInteger .
+            :a1 :When :_180000 .
+            :a1 :Who :P .
+            :a1 :Do :Zeta .
+            :a2 :When :_180000 .
+            :a2 :Who :P .
+            :a2 :Do :Alpha .
+            :Zeta :Light "true"^^xsd:boolean .
+            :Alpha :Light "true"^^xsd:boolean .
+            :_070411180000 :hasTime :_180000 .
+            :_070411180000 :personIn :P .
+        """.strip().splitlines()
+        rng.shuffle(lines)
+        store = TripleStore(rdf.parse_data("\n".join(lines)))
+        ContextEngine(store)
+        return store
+
+    def test_activity_breaks_last_tie_whatever_the_insertion_order(self):
+        rng = random.Random(5)
+        for _ in range(8):
+            commands = reason_at(self.tied_profiles_store(rng), TimeOfDay(18, 0, 0))
+            assert [(c.appliance.local, c.activity.local) for c in commands] == \
+                [("Light", "Alpha")]
+
+    def test_winner_independent_of_row_order(self, monkeypatch):
+        rng = random.Random(6)
+        store = self.tied_profiles_store(rng)
+        evaluate = ingest.evaluate
+        for _ in range(8):
+            def shuffled(store, query):
+                table = evaluate(store, query)
+                rng.shuffle(table.rows)
+                return table
+
+            monkeypatch.setattr(ingest, "evaluate", shuffled)
+            commands = reason_at(store, TimeOfDay(18, 0, 0))
+            assert [c.activity.local for c in commands] == ["Alpha"]
+
+    @pytest.mark.parametrize("persons, present", [(8, 3), (30, 3)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_winner_rule_over_brute_force(self, persons, present, seed):
+        store = TripleStore(rdf.parse_data(home_text(persons, seed, present)))
+        engine = ContextEngine(store)
+
+        def check_every_slot():
+            for slot in HOME_SLOTS:
+                t = TimeOfDay.from_label(slot)
+                got = [(c.appliance, c.state, c.person, c.activity, c.priority)
+                       for c in reason_at(store, t)]
+                assert got == winner_rule(brute_force_rows(list(store), preference_query(t)))
+
+        check_every_slot()
+        rng = random.Random(seed)
+        for slot in HOME_SLOTS:  # a second record at each slot, with other persons in it
+            names = rng.sample([f"P{i}" for i in range(persons)], present)
+            ack, _ = engine.handle_reading(
+                reading_msg(time=slot, present=names, date="2007-04-11"))
+            assert ack["stored"]
+        check_every_slot()
+
+
+def winner_rule(rows) -> list:
+    """Per appliance, the row with the highest priority, then state true, then
+    the least person name, then the least activity in term order, as
+    (appliance, state, person, activity, priority), by appliance name."""
+    best = {}
+    for person, what, appliance, status, priority in rows:
+        rank = (-int(priority.lexical), status.lexical != "true", person.written,
+                term_key(what))
+        if appliance not in best or rank < best[appliance][0]:
+            best[appliance] = (rank, (appliance, status.lexical == "true", person, what,
+                                      int(priority.lexical)))
+    return [best[a][1] for a in sorted(best, key=lambda a: a.written)]
 
 
 class TestHandleReading:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -107,6 +108,53 @@ class TestStore:
                     and (isinstance(pattern.predicate, Variable) or t.predicate == pattern.predicate)
                     and (isinstance(pattern.object, Variable) or t.object == pattern.object)]
             assert store.match(pattern) == sorted(scan, key=Triple.sort_key)
+
+
+def fresh(term):
+    """An equal term built anew, so that the store must intern by equality."""
+    if isinstance(term, Iri):
+        return Iri(term.namespace, term.local)
+    return Literal(term.lexical, fresh(term.datatype))
+
+
+def fresh_triple(t: Triple) -> Triple:
+    return Triple(fresh(t.subject), fresh(t.predicate), fresh(t.object))
+
+
+class TestEncodedStore:
+    # Referee for the dictionary encoding: the plain set of Triples.
+    ABSENT_SUBJECT = home("absent")
+    ABSENT_OBJECT = Literal("absent", xsd("string"))
+
+    def test_agrees_with_triple_set_on_random_stores(self):
+        rng = random.Random(29)
+        every = [Triple(s, p, o) for s in SUBJECT_POOL + [self.ABSENT_SUBJECT]
+                 for p in PREDICATE_POOL for o in OBJECT_POOL + [self.ABSENT_OBJECT]]
+        for _ in range(100):
+            triples = {Triple(rng.choice(SUBJECT_POOL), rng.choice(PREDICATE_POOL),
+                              rng.choice(OBJECT_POOL)) for _ in range(rng.randint(0, 80))}
+            store = TripleStore()
+            for t in rng.sample(sorted(triples, key=Triple.sort_key), len(triples)):
+                assert store.insert(fresh_triple(t))
+            assert len(store) == len(triples)
+            assert list(store) == sorted(triples, key=Triple.sort_key)
+            assert all((fresh_triple(t) in store) == (t in triples) for t in every)
+            for shape in itertools.product((False, True), repeat=3):
+                for _ in range(4):
+                    constants = [
+                        fresh(rng.choice(SUBJECT_POOL + [self.ABSENT_SUBJECT])),
+                        fresh(rng.choice(PREDICATE_POOL)),
+                        fresh(rng.choice(OBJECT_POOL + [self.ABSENT_OBJECT]))]
+                    pattern = TriplePattern(*(
+                        c if is_constant else Variable(name)
+                        for c, is_constant, name in zip(constants, shape, "spo")))
+                    scan = sorted(
+                        (t for t in triples
+                         if all(not is_constant or term == c for term, c, is_constant
+                                in zip((t.subject, t.predicate, t.object), constants, shape))),
+                        key=Triple.sort_key)
+                    assert store.match(pattern) == scan
+                    assert store.candidate_count(pattern) >= len(scan)
 
 
 class TestParser:
