@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
@@ -19,6 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 from .ontology import EnvironmentReading
 
 DEFAULT_EPSILON = 1e-9
+MAX_DISTANCE = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,8 @@ def should_store(baseline: Optional[EnvironmentReading], curr: EnvironmentReadin
                  cfg: DedupConfig = DedupConfig()) -> DedupDecision:
     """Store when there is no baseline, or when any factor exceeds its threshold.
 
-    The distance sums the squared deltas in factor order, then takes the root.
+    The distance sums the squared deltas in factor order, then takes the
+    root.  It saturates at MAX_DISTANCE, so it is always finite (valid JSON).
     """
     if baseline is None:
         return DedupDecision(True, 0.0, (), None)
@@ -141,5 +144,11 @@ def should_store(baseline: Optional[EnvironmentReading], curr: EnvironmentReadin
         exceeded = d == 1.0 if spec.threshold is None else d > spec.threshold
         deltas.append(FactorDelta(spec.name, d, exceeded))
         store = store or exceeded
-        total += d ** 2
-    return DedupDecision(store, math.sqrt(total), tuple(deltas), baseline.id)
+        try:
+            total += d ** 2
+        except OverflowError:  # d above about 1.3e154
+            total = math.inf
+    distance = math.sqrt(total)
+    if distance > MAX_DISTANCE:
+        distance = MAX_DISTANCE
+    return DedupDecision(store, distance, tuple(deltas), baseline.id)

@@ -145,7 +145,7 @@ def parse_reading_payload(msg: dict) -> tuple[str, EnvironmentReading]:
             illumination=float(msg["illumination"]),
             date=Date.fromisoformat(str(msg["date"])),
             time=time,
-            persons_present=frozenset(home(str(p)) for p in msg.get("present", [])),
+            persons_present=_persons(msg.get("present", [])),
         )
         if not all(map(math.isfinite, (reading.humidity, reading.temperature,
                                        reading.illumination))):
@@ -153,6 +153,17 @@ def parse_reading_payload(msg: dict) -> tuple[str, EnvironmentReading]:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"bad reading payload: {exc}") from None
     return stream, reading
+
+
+def _persons(present) -> frozenset:
+    """The ``present`` field, which must be a JSON array of strings."""
+    try:
+        if isinstance(present, list):
+            "".join(present)  # TypeError unless every item is a string
+            return frozenset(map(home, present))
+    except TypeError:
+        pass
+    raise ValueError("present must be an array of strings")
 
 
 def _rejected(error: str) -> dict:
@@ -226,6 +237,11 @@ class ContextEngine:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    # Every reply goes out at once: with Nagle's algorithm on, a reply waits
+    # in the kernel until the client acknowledges the last one, and a client
+    # delays that acknowledgement until it next sends.
+    disable_nagle_algorithm = True
+
     def handle(self):
         engine: ContextEngine = self.server.engine
         said_hello = False
@@ -240,26 +256,25 @@ class _Handler(socketserver.StreamRequestHandler):
                         if said_hello:
                             raise ProtocolError("duplicate hello")
                         said_hello = True
-                        self._send({"type": "hello", "ok": True})
+                        replies = [{"type": "hello", "ok": True}]
                     elif kind == "reading":
                         ack, commands = engine.handle_reading(msg)
-                        self._send(ack)
-                        for cmd in commands:
-                            self._send(cmd)
+                        replies = [ack, *commands]
                     elif kind == "tick":
-                        for cmd in engine.handle_tick(msg):
-                            self._send(cmd)
+                        replies = engine.handle_tick(msg)
                     else:
                         raise ProtocolError(f"unknown message type {kind!r}")
                 except ProtocolError as exc:
-                    self._send({"type": "error", "message": str(exc)})
+                    self._send([{"type": "error", "message": str(exc)}])
                     return  # terminate only this connection
+                if replies:
+                    self._send(replies)
         except (BrokenPipeError, ConnectionResetError):
             pass  # the client hung up before reading every reply
 
-    def _send(self, obj: dict):
-        self.wfile.write((json.dumps(obj) + "\n").encode("utf-8"))
-        self.wfile.flush()
+    def _send(self, replies: list[dict]):
+        """All the lines answering one message, in one write (one sendall)."""
+        self.wfile.write("".join([json.dumps(r) + "\n" for r in replies]).encode("utf-8"))
 
 
 class ContextServer(socketserver.ThreadingTCPServer):

@@ -209,6 +209,16 @@ class TestReplayCommand:
         assert "stored_count=1" in out
         assert "reduction_factor=100.00" in out
 
+    def test_huge_relative_jump_counted(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("".join(json.dumps({
+            "type": "reading", "stream": "s1", "date": "2007-04-11",
+            "time": f"12000{i}", "temperature": temp, "humidity": 30.0,
+            "illumination": 300.0}) + "\n" for i, temp in enumerate((0.0, 1e200))))
+        assert main(["replay", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "input_count=2" in out and "stored_count=2" in out
+
     def test_unknown_trace_path(self, capsys):
         assert main(["replay", "/no/such/trace"]) == 1
 

@@ -1,6 +1,7 @@
 import json
 import random
 import socket
+import socketserver
 import struct
 import sys
 import threading
@@ -38,6 +39,27 @@ def reading_msg(time="180000", present=("Son",), stream="s1", temp=21.0,
     return {"type": "reading", "stream": stream, "date": date, "time": time,
             "temperature": temp, "humidity": hum, "illumination": illum,
             "present": list(present)}
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_loads(text):
+    """json.loads that refuses the Infinity and NaN constants RFC 8259 lacks."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
+# Baseline and next temperature on one stream: the relative jump's square
+# overflows a float, or the jump itself is infinite.
+HUGE_JUMPS = pytest.mark.parametrize("before, after", [(0.0, 1e200), (1e-300, 1e300)],
+                                     ids=["square-overflows", "jump-infinite"])
+
+# "present" values that are not an array of strings.
+BAD_PRESENT = pytest.mark.parametrize(
+    "present", ["Son", {"Son": 1}, [["a"], 1], [1], None],
+    ids=["string", "object", "nested-array", "number-item", "null"])
+PRESENT_ERROR = "bad reading payload: present must be an array of strings"
 
 
 class TestReasonAt:
@@ -238,6 +260,30 @@ class TestHandleReading:
         assert set(engine.store) == before
         assert (engine.input_count, engine.stored_count) == (1, 1)
 
+    @HUGE_JUMPS
+    def test_huge_relative_jump_saturates_distance(self, fixture_store, before, after):
+        engine = ContextEngine(fixture_store)
+        engine.handle_reading(reading_msg(temp=before))
+        ack, commands = engine.handle_reading(reading_msg(time="180001", temp=after))
+        assert ack == {"type": "ack", "accepted": True, "stored": True,
+                       "distance": sys.float_info.max}
+        assert strict_loads(json.dumps(ack)) == ack
+        assert commands == []
+        assert (engine.input_count, engine.stored_count) == (2, 2)
+        ack, _ = engine.handle_reading(reading_msg(time="180002", temp=after))
+        assert ack["stored"] is False  # the huge reading is the new baseline
+
+    @BAD_PRESENT
+    def test_present_must_be_array_of_strings(self, fixture_store, present):
+        engine = ContextEngine(fixture_store)
+        before = set(engine.store)
+        ack, commands = engine.handle_reading({**reading_msg(), "present": present})
+        assert ack == {"type": "ack", "accepted": False, "stored": False,
+                       "distance": 0.0, "error": PRESENT_ERROR}
+        assert commands == []
+        assert set(engine.store) == before
+        assert (engine.input_count, engine.stored_count) == (0, 0)
+
     def test_every_reading_gets_one_ack(self, fixture_store):
         engine = ContextEngine(fixture_store)
         acks = [engine.handle_reading(reading_msg(temp=21.0 + i))[0]
@@ -411,6 +457,30 @@ class TestServe:
         assert ack["type"] == "ack" and ack["accepted"] is True
         client.close()
 
+    @HUGE_JUMPS
+    def test_huge_relative_jump_acked_and_connection_kept(self, server, before, after):
+        srv, _ = server
+        lines = [reading_msg(stream="huge", time=f"12000{i}", temp=temp, present=())
+                 for i, temp in enumerate((before, after, after))]
+        replies = _read_all(srv.server_address[1],
+                            b"".join(json.dumps(l).encode() + b"\n" for l in lines))
+        acks = [strict_loads(r) for r in replies.splitlines()]
+        assert [(a["type"], a["accepted"], a["stored"]) for a in acks] == [
+            ("ack", True, True), ("ack", True, True), ("ack", True, False)]
+        assert acks[1]["distance"] == sys.float_info.max
+
+    @BAD_PRESENT
+    def test_bad_present_rejected_and_connection_kept(self, server, present):
+        srv, engine = server
+        client = _Client(srv.server_address[1])
+        client.send({**reading_msg(stream="bad"), "present": present})
+        assert client.recv() == {"type": "ack", "accepted": False, "stored": False,
+                                 "distance": 0.0, "error": PRESENT_ERROR}
+        client.send(reading_msg(stream="bad", present=()))
+        assert client.recv()["accepted"] is True
+        assert engine.input_count == 1
+        client.close()
+
     def test_out_of_order_reading_rejected_without_state_change(self, server, tmp_path):
         srv, engine = server
         lines = [reading_msg(time="120000", present=()),
@@ -479,6 +549,75 @@ class TestServe:
         client.close()
 
 
+# The replies to test_end_to_end_study_time's hello and reading, then to a
+# 20:00 tick, as the server wrote them before it sent each message's replies
+# in one write.
+STUDY_TIME_WIRE = [
+    b'{"type": "hello", "ok": true}\n',
+    b'{"type": "ack", "accepted": true, "stored": true, "distance": 0.0}\n',
+    *(b'{"type": "command", "appliance": "%s", "state": %s, "person": "Son", '
+      b'"activity": "Self-study", "priority": 5}\n' % pair
+      for pair in [(b"AirConditioner", b"true"), (b"Light", b"true"),
+                   (b"Projector", b"true"), (b"TV", b"false")]),
+    *(b'{"type": "command", "appliance": "%s", "state": true, "person": "Father", '
+      b'"activity": "Entertain", "priority": 8}\n' % appliance
+      for appliance in [b"AirConditioner", b"Light", b"Projector", b"TV"]),
+]
+
+
+class TestReplyWrites:
+    def test_accepted_connections_have_nodelay(self, server, monkeypatch):
+        srv, _ = server
+        nodelay = []
+        setup = ingest._Handler.setup
+
+        def recording(handler):
+            setup(handler)
+            nodelay.append(handler.connection.getsockopt(socket.IPPROTO_TCP,
+                                                         socket.TCP_NODELAY))
+
+        monkeypatch.setattr(ingest._Handler, "setup", recording)
+        client = _Client(srv.server_address[1])
+        client.send({"type": "hello"})
+        assert client.recv()["type"] == "hello"
+        client.close()
+        assert len(nodelay) == 1 and nodelay[0] != 0
+
+    def test_one_write_per_message(self, server, monkeypatch):
+        srv, _ = server
+        writes = []
+        write = socketserver._SocketWriter.write
+
+        def counted(writer, data):
+            writes.append(bytes(data))
+            return write(writer, data)
+
+        monkeypatch.setattr(socketserver._SocketWriter, "write", counted)
+        client = _Client(srv.server_address[1])
+        client.send({"type": "hello"})
+        client.recv()
+        assert len(writes) == 1
+        client.send(reading_msg())  # a presence change: an ack and 4 commands
+        replies = [client.recv() for _ in range(5)]
+        assert [r["type"] for r in replies] == ["ack"] + ["command"] * 4
+        assert len(writes) == 2 and writes[1].count(b"\n") == 5
+        client.send({"type": "tick", "time": "200000"})
+        assert len([client.recv() for _ in range(4)]) == 4
+        assert len(writes) == 3 and writes[2].count(b"\n") == 4
+        client.send({"type": "tick", "time": "bad"})
+        assert client.recv()["type"] == "error"
+        assert len(writes) == 4
+        client.close()
+
+    def test_wire_bytes_unchanged(self, server):
+        srv, _ = server
+        data = _read_all(srv.server_address[1], b"".join(
+            json.dumps(msg).encode() + b"\n" for msg in (
+                {"type": "hello", "stream": "s1"}, reading_msg(),
+                {"type": "tick", "time": "200000"})))
+        assert data.splitlines(keepends=True) == STUDY_TIME_WIRE
+
+
 # --- protocol fuzzing: any byte line against the wire contract
 
 _JSON_VALUES = st.recursive(
@@ -509,15 +648,20 @@ def _is_blank(line: bytes) -> bool:
         return False
 
 
-def _exchange(port: int, line: bytes) -> list[bytes]:
-    """Send one line on a fresh connection, half-close, read until the close."""
+def _read_all(port: int, data: bytes) -> bytes:
+    """Send ``data`` on a fresh connection, half-close, read until the close."""
     with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-        sock.sendall(line)
+        sock.sendall(data)
         sock.shutdown(socket.SHUT_WR)
-        data = b""
+        replies = b""
         while chunk := sock.recv(65536):
-            data += chunk
-    return data.splitlines()
+            replies += chunk
+    return replies
+
+
+def _exchange(port: int, line: bytes) -> list[bytes]:
+    """Send one line on a fresh connection; the reply lines until the close."""
+    return _read_all(port, line).splitlines()
 
 
 class TestProtocolFuzz:
@@ -528,7 +672,7 @@ class TestProtocolFuzz:
         @given(_LINES)
         @settings(max_examples=200, deadline=None)
         def one_line(line):
-            replies = [json.loads(r) for r in _exchange(port, line)]
+            replies = [strict_loads(r) for r in _exchange(port, line)]
             assert "Traceback" not in capfd.readouterr().err
             if not replies:
                 assert _is_blank(line)
@@ -596,6 +740,19 @@ class TestReplay:
                          + b" " * MAX_LINE_BYTES + b"\n")
         with pytest.raises(TraceError, match="line 2: line too long"):
             replay(path)
+
+    @HUGE_JUMPS
+    def test_huge_relative_jump_counts(self, tmp_path, before, after):
+        lines = [reading_msg(time=f"12000{i}", temp=temp, present=())
+                 for i, temp in enumerate((before, after, after))]
+        stats = replay(self.write_trace(tmp_path, lines))
+        assert (stats.input_count, stats.stored_count) == (3, 2)
+
+    @BAD_PRESENT
+    def test_bad_present_names_line(self, tmp_path, present):
+        lines = [reading_msg(), {**reading_msg(time="180001"), "present": present}]
+        with pytest.raises(TraceError, match=f"^line 2: {PRESENT_ERROR}$"):
+            replay(self.write_trace(tmp_path, lines))
 
     def test_invalid_model_refused_before_first_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"
