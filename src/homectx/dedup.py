@@ -21,6 +21,7 @@ from .ontology import EnvironmentReading
 
 DEFAULT_EPSILON = 1e-9
 MAX_DISTANCE = sys.float_info.max
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -56,12 +57,27 @@ _ATTRIBUTES = {
 }
 
 
+class FactorDelta(NamedTuple):
+    name: str
+    d: float
+    exceeded: bool
+
+
+class DedupDecision(NamedTuple):
+    store: bool
+    distance: float
+    deltas: tuple
+    reference: object  # id of the baseline reading, None if first
+
+
 @dataclass(frozen=True)
 class DedupConfig:
     factors: Sequence[FactorSpec] = DEFAULT_FACTORS
     epsilon: float = DEFAULT_EPSILON
-    # (spec, attribute getter) per factor, in factor order, built once here
-    # so that should_store does no per-call lookups
+    # (name, attribute getter, threshold, unchanged delta, changed delta)
+    # per factor, in factor order, built once here so that should_store does
+    # no per-call lookups; a categorical factor's delta is one of the two
+    # shared FactorDeltas (immutable, so safe to share)
     plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -76,7 +92,9 @@ class DedupConfig:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         object.__setattr__(self, "plan", tuple(
-            (spec, attrgetter(_ATTRIBUTES[spec.name])) for spec in self.factors))
+            (spec.name, attrgetter(_ATTRIBUTES[spec.name]), spec.threshold,
+             FactorDelta(spec.name, 0.0, False), FactorDelta(spec.name, 1.0, True))
+            for spec in self.factors))
 
 
 def load_threshold_overrides(path) -> DedupConfig:
@@ -103,35 +121,20 @@ def load_threshold_overrides(path) -> DedupConfig:
     return DedupConfig(factors=tuple(factors))
 
 
-class FactorDelta(NamedTuple):
-    name: str
-    d: float
-    exceeded: bool
-
-
-class DedupDecision(NamedTuple):
-    store: bool
-    distance: float
-    deltas: tuple
-    reference: object  # id of the baseline reading, None if first
-
-
-def normalized_delta(prev_value, curr_value, spec: FactorSpec,
-                     epsilon: float = DEFAULT_EPSILON) -> float:
-    """Per-factor change: relative for numerics, 0/1 for categoricals."""
-    if spec.threshold is None:
-        return 0.0 if prev_value == curr_value else 1.0
-    if not (math.isfinite(prev_value) and math.isfinite(curr_value)):
-        raise ValueError(f"non-finite value for factor {spec.name}")
-    return abs(curr_value - prev_value) / max(abs(prev_value), epsilon)
+# Builds a FactorDelta or DedupDecision from one tuple of its fields in C,
+# without the Python-level __new__ a NamedTuple call runs.
+_new = tuple.__new__
 
 
 def should_store(baseline: Optional[EnvironmentReading], curr: EnvironmentReading,
                  cfg: DedupConfig = DedupConfig()) -> DedupDecision:
     """Store when there is no baseline, or when any factor exceeds its threshold.
 
-    The distance sums the squared deltas in factor order, then takes the
-    root.  It saturates at MAX_DISTANCE, so it is always finite (valid JSON).
+    A factor's delta ``d`` is |curr - prev| / max(|prev|, epsilon) for a
+    numeric factor, which must be finite on both sides (ValueError if not),
+    and 0 or 1 for a categorical one, which is exceeded when it changed.
+    The distance sums ``d ** 2`` in factor order, then takes the root.  It
+    saturates at MAX_DISTANCE, so it is always finite (valid JSON).
     """
     if baseline is None:
         return DedupDecision(True, 0.0, (), None)
@@ -139,16 +142,30 @@ def should_store(baseline: Optional[EnvironmentReading], curr: EnvironmentReadin
     deltas = []
     store = False
     total = 0.0
-    for spec, get in cfg.plan:
-        d = normalized_delta(get(baseline), get(curr), spec, epsilon)
-        exceeded = d == 1.0 if spec.threshold is None else d > spec.threshold
-        deltas.append(FactorDelta(spec.name, d, exceeded))
-        store = store or exceeded
+    for name, get, threshold, unchanged, changed in cfg.plan:
+        prev = get(baseline)
+        now = get(curr)
+        if threshold is None:  # categorical: d is 0 or 1, and so is d ** 2
+            if prev == now:
+                deltas.append(unchanged)
+            else:
+                deltas.append(changed)
+                store = True
+                total += 1.0
+            continue
+        if not (-_INF < prev < _INF and -_INF < now < _INF):
+            raise ValueError(f"non-finite value for factor {name}")
+        scale = abs(prev)
+        d = abs(now - prev) / (scale if scale >= epsilon else epsilon)
+        exceeded = d > threshold
+        deltas.append(_new(FactorDelta, (name, d, exceeded)))
+        if exceeded:
+            store = True
         try:
             total += d ** 2
         except OverflowError:  # d above about 1.3e154
-            total = math.inf
+            total = _INF
     distance = math.sqrt(total)
     if distance > MAX_DISTANCE:
         distance = MAX_DISTANCE
-    return DedupDecision(store, distance, tuple(deltas), baseline.id)
+    return _new(DedupDecision, (store, distance, tuple(deltas), baseline.id))

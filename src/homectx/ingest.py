@@ -16,16 +16,18 @@ import sys
 import threading
 from dataclasses import dataclass, field, replace
 from datetime import date as Date
+from functools import lru_cache
 from typing import NamedTuple
 
 from .dedup import DedupConfig, should_store
 from .ontology import (
+    MEMO_SIZE,
     EnvironmentReading,
     TimeOfDay,
     load_home_model,
     reading_to_triples,
 )
-from .rdf import Iri, TripleStore, home, term_key
+from .rdf import PN_LOCAL_RE, Iri, TripleStore, home, term_key
 from .sparql import Query, evaluate, parse_query, substitute
 
 
@@ -139,16 +141,20 @@ def parse_reading_payload(msg: dict) -> tuple[str, EnvironmentReading]:
     try:
         stream = str(msg["stream"])
         time = TimeOfDay.from_label(str(msg["time"]))
+        # positional, in field order: humidity, temperature, illumination,
+        # date, time, persons_present
         reading = EnvironmentReading(
-            humidity=float(msg["humidity"]),
-            temperature=float(msg["temperature"]),
-            illumination=float(msg["illumination"]),
-            date=Date.fromisoformat(str(msg["date"])),
-            time=time,
-            persons_present=_persons(msg.get("present", [])),
+            float(msg["humidity"]),
+            float(msg["temperature"]),
+            float(msg["illumination"]),
+            Date.fromisoformat(str(msg["date"])),
+            time,
+            _persons(msg.get("present", [])),
         )
-        if not all(map(math.isfinite, (reading.humidity, reading.temperature,
-                                       reading.illumination))):
+        # The range checks passed, so humidity is finite and illumination
+        # is not below 0: NaN and the infinities fail these comparisons.
+        if not (-math.inf < reading.temperature < math.inf
+                and reading.illumination < math.inf):
             raise ValueError("sensor values must be finite numbers")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"bad reading payload: {exc}") from None
@@ -156,14 +162,24 @@ def parse_reading_payload(msg: dict) -> tuple[str, EnvironmentReading]:
 
 
 def _persons(present) -> frozenset:
-    """The ``present`` field, which must be a JSON array of strings."""
+    """The ``present`` field, which must be a JSON array of local names."""
     try:
         if isinstance(present, list):
             "".join(present)  # TypeError unless every item is a string
-            return frozenset(map(home, present))
+            return frozenset(map(_person, present))
     except TypeError:
         pass
     raise ValueError("present must be an array of strings")
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _person(name: str) -> Iri:
+    """A present person's IRI.  The name must be a whole local name, so the
+    stored triple serializes to text that parses back; memoised, since a
+    stream repeats its present set reading after reading."""
+    if not PN_LOCAL_RE.fullmatch(name):
+        raise ValueError(f"present names must match {PN_LOCAL_RE.pattern}")
+    return home(name)
 
 
 def _rejected(error: str) -> dict:

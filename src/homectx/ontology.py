@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date as Date
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .rdf import Iri, Literal, Triple, TriplePattern, TripleStore, Variable, home, xsd
 
@@ -32,6 +32,13 @@ XSD_DOUBLE = xsd("double")
 XSD_BOOLEAN = xsd("boolean")
 XSD_DATE = xsd("date")
 XSD_POSITIVE_INTEGER = xsd("positiveInteger")
+
+
+# Entries kept by each memo on the per-reading path (time labels here, person
+# names in homectx.ingest).  Readings arrive in time order, so the streams
+# repeat each label back to back; a small cap keeps memory flat however many
+# distinct labels or names a long run sees.
+MEMO_SIZE = 64
 
 
 class ModelError(ValueError):
@@ -59,7 +66,9 @@ class TimeOfDay:
         return home(f"_{self.label}")
 
     @classmethod
+    @lru_cache(maxsize=MEMO_SIZE)
     def from_label(cls, label: str) -> "TimeOfDay":
+        """Memoised: the value is frozen, and a bad label raises every time."""
         digits = label.lstrip("_")
         if len(digits) != 6 or not digits.isdigit():
             raise ValueError(f"time label must be 6 digits, got {label!r}")

@@ -327,7 +327,9 @@ def escape_string(s: str) -> str:
 
 
 _PN_PREFIX_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
-_PN_LOCAL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_-]*")
+# The local part of a prefixed name; ``serialize`` writes home IRIs in that
+# form, so a local name must match all of it to survive a round trip.
+PN_LOCAL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_-]*")
 _WS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")  # whitespace and # comments
 
 
@@ -380,7 +382,7 @@ class _Lexer:
         prefix = self.read_regex(_PN_PREFIX_RE) or ""
         if not self.take(":"):
             raise self.error("expected prefixed name")
-        local = self.read_regex(_PN_LOCAL_RE)
+        local = self.read_regex(PN_LOCAL_RE)
         return prefix, local
 
     def read_string(self) -> str:

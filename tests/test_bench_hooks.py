@@ -40,6 +40,12 @@ def test_tracing_hooks_cover_a_replay(tmp_path):
     assert done.returncode == 0, done.stderr
     layer = json.loads(done.stdout.splitlines()[-1])
     assert layer["ingest.parse_reading_payload.calls_per_reading"] == 1.0
+    # every wrapped layer on the per-line path was timed
+    assert layer["ingest.json_decode.us_per_line"] > 0
+    assert layer["ingest.parse_reading_payload.us_per_call"] > 0
+    assert layer["dedup.should_store.us_per_call"] > 0
+    # the decisions reach the tracing: each reading is 5 degrees warmer
+    assert layer["dedup.triggered.temperature"] >= 1
     assert layer["ontology.load_home_model.ms_per_call"] > 0
     # the first stored reading reasons, through ingest.reason_at and ingest.evaluate
     assert layer["ingest.reason_at.calls"] >= 1

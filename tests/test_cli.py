@@ -4,7 +4,7 @@ import socket
 import pytest
 
 from conftest import GHOST_MODEL
-from homectx import cli, ingest
+from homectx import cli, ingest, tracegen
 from homectx.dedup import DEFAULT_FACTORS
 from homectx.cli import TraceParams, gen_trace, main
 from homectx.ingest import replay
@@ -194,9 +194,9 @@ class TestGenTrace:
     def test_noise_below_thresholds(self):
         # noise alone must never store a reading, or stored != streams + events
         thresholds = {f.name: f.threshold for f in DEFAULT_FACTORS}
-        assert 0 <= cli.TEMPERATURE_NOISE < thresholds["temperature"]
-        assert 0 <= cli.ILLUMINATION_NOISE < thresholds["illumination"]
-        assert 0 <= cli.HUMIDITY_NOISE < thresholds["humidity"]
+        assert 0 <= tracegen.TEMPERATURE_NOISE < thresholds["temperature"]
+        assert 0 <= tracegen.ILLUMINATION_NOISE < thresholds["illumination"]
+        assert 0 <= tracegen.HUMIDITY_NOISE < thresholds["humidity"]
 
 
 class TestReplayCommand:

@@ -11,7 +11,6 @@ from homectx.dedup import (
     DedupConfig,
     FactorSpec,
     load_threshold_overrides,
-    normalized_delta,
     should_store,
 )
 from homectx.ingest import ContextEngine
@@ -20,7 +19,6 @@ from homectx.rdf import home
 
 CFG = DedupConfig()
 TEMP = FactorSpec("temperature", 0.1)
-PRESENCE = FactorSpec("presence", None)
 
 
 def distance(prev, curr, cfg=CFG):
@@ -36,31 +34,40 @@ def reading(temp=20.0, hum=30.0, illum=400.0, persons=(), day=11,
     )
 
 
+def delta(prev, curr, factor, cfg=CFG):
+    """The named factor's delta, as should_store reports it."""
+    return {fd.name: fd.d for fd in should_store(prev, curr, cfg).deltas}[factor]
+
+
 class TestNormalizedDelta:
+    """The per-factor delta, read from ``should_store(...).deltas``."""
+
     def test_identity(self):
-        assert normalized_delta(20.0, 20.0, TEMP) == 0.0
+        assert delta(reading(temp=20.0), reading(temp=20.0), "temperature") == 0.0
 
     def test_presence_change_is_one(self):
-        assert normalized_delta(frozenset(), frozenset({home("Father")}), PRESENCE) == 1.0
+        assert delta(reading(), reading(persons=("Father",)), "presence") == 1.0
 
     def test_relative_change(self):
-        assert normalized_delta(20.0, 23.0, TEMP) == pytest.approx(0.15)
+        assert delta(reading(temp=20.0), reading(temp=23.0), "temperature") == \
+            pytest.approx(0.15)
 
     def test_zero_baseline_uses_epsilon(self):
-        assert normalized_delta(0.0, 1.0, FactorSpec("illumination", 0.5), 1e-9) == \
+        assert delta(reading(illum=0.0), reading(illum=1.0), "illumination") == \
             pytest.approx(1e9)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            normalized_delta(float("inf"), 1.0, TEMP)
+        for prev, curr in [(float("inf"), 1.0), (1.0, float("-inf")), (float("nan"), 1.0)]:
+            with pytest.raises(ValueError, match="non-finite value for factor temperature"):
+                should_store(reading(temp=prev), reading(temp=curr), CFG)
 
     def test_numeric_delta_scales_linearly(self):
         rng = random.Random(5)
         for _ in range(100):
             prev = rng.uniform(1, 100)
             step = rng.uniform(0, 10)
-            d1 = normalized_delta(prev, prev + step, TEMP)
-            d2 = normalized_delta(prev, prev + 2 * step, TEMP)
+            d1 = delta(reading(temp=prev), reading(temp=prev + step), "temperature")
+            d2 = delta(reading(temp=prev), reading(temp=prev + 2 * step), "temperature")
             assert d2 == pytest.approx(2 * d1)
 
 
@@ -80,6 +87,14 @@ class TestDistance:
     def test_euclidean_aggregate(self):
         d = distance(reading(temp=20, hum=30), reading(temp=23, hum=33), CFG)
         assert d == pytest.approx(math.sqrt(0.15 ** 2 + 0.1 ** 2))
+
+    def test_squares_summed_as_powers(self):
+        # d * d in place of d ** 2 rounds the humidity square differently
+        # here, and the distance moves in its last bit
+        d = distance(reading(temp=20.0, hum=30.0), reading(temp=19.84, hum=28.598))
+        assert d == math.sqrt((abs(19.84 - 20.0) / 20.0) ** 2
+                              + (abs(28.598 - 30.0) / 30.0) ** 2)
+        assert d == 0.04741312523388906
 
     def test_presence_change_never_decreases_distance(self):
         rng = random.Random(17)
@@ -147,7 +162,7 @@ class TestShouldStore:
 
 def reference_decision(prev, curr, cfg):
     """The straightforward dedup loop, kept as the referee for should_store:
-    normalized_delta per factor, the categorical-or-threshold rule, then the
+    the delta formula per factor, the categorical-or-threshold rule, then the
     root of the squares summed in factor order.  Returns (store, distance,
     reference, deltas as (name, d, exceeded))."""
     values = {"temperature": lambda r: r.temperature,
@@ -158,7 +173,10 @@ def reference_decision(prev, curr, cfg):
     deltas = []
     for spec in cfg.factors:
         get = values[spec.name]
-        d = normalized_delta(get(prev), get(curr), spec, cfg.epsilon)
+        if spec.threshold is None:
+            d = 0.0 if get(prev) == get(curr) else 1.0
+        else:
+            d = abs(get(curr) - get(prev)) / max(abs(get(prev)), cfg.epsilon)
         exceeded = d == 1.0 if spec.threshold is None else d > spec.threshold
         deltas.append((spec.name, d, exceeded))
     total = 0.0

@@ -61,6 +61,58 @@ BAD_PRESENT = pytest.mark.parametrize(
     ids=["string", "object", "nested-array", "number-item", "null"])
 PRESENT_ERROR = "bad reading payload: present must be an array of strings"
 
+# "present" names that are not whole local names of the Turtle dialect, so
+# their triples would not serialize to text that parses back.
+BAD_NAMES = pytest.mark.parametrize(
+    "name", ["a b", "x.y", "c>d", "", "-a", "a:b", "Son\n"],
+    ids=["space", "dot", "angle", "empty", "leading-hyphen", "colon", "newline"])
+NAME_ERROR = ("bad reading payload: present names must match "
+              "[A-Za-z0-9_][A-Za-z0-9_-]*")
+
+# The exact error of each rejecting ack: (field overrides, error).  A field
+# set to MISSING is left out.  The checks run in field order, then the range
+# checks, then the finite check, so NaN humidity is out of range and
+# -Infinity illumination is negative.
+MISSING = object()
+REJECTIONS = pytest.mark.parametrize("fields, error", [
+    ({"stream": MISSING}, "'stream'"),
+    ({"time": MISSING}, "'time'"),
+    ({"humidity": MISSING}, "'humidity'"),
+    ({"date": MISSING}, "'date'"),
+    ({"humidity": "abc"}, "could not convert string to float: 'abc'"),
+    ({"temperature": None},
+     "float() argument must be a string or a real number, not 'NoneType'"),
+    ({"humidity": 100.5}, "humidity out of range: 100.5"),
+    ({"humidity": -1}, "humidity out of range: -1.0"),
+    ({"illumination": -0.5}, "illumination must be >= 0: -0.5"),
+    ({"temperature": float("nan")}, "sensor values must be finite numbers"),
+    ({"illumination": float("nan")}, "sensor values must be finite numbers"),
+    ({"humidity": float("nan")}, "humidity out of range: nan"),
+    ({"temperature": float("inf")}, "sensor values must be finite numbers"),
+    ({"temperature": float("-inf")}, "sensor values must be finite numbers"),
+    ({"illumination": float("inf")}, "sensor values must be finite numbers"),
+    ({"illumination": float("-inf")}, "illumination must be >= 0: -inf"),
+    ({"temperature": 10 ** 400}, "int too large to convert to float"),
+    ({"date": "2007-13-01"}, "month must be in 1..12"),
+    ({"date": "11/04/2007"}, "Invalid isoformat string: '11/04/2007'"),
+    ({"time": "9999"}, "time label must be 6 digits, got '9999'"),
+    ({"time": "18h000"}, "time label must be 6 digits, got '18h000'"),
+    ({"time": "250000"}, "invalid time of day 25:0:0"),
+    ({"time": "180060"}, "invalid time of day 18:0:60"),
+    ({"present": "Son"}, "present must be an array of strings"),
+    ({"present": None}, "present must be an array of strings"),
+], ids=["no-stream", "no-time", "no-humidity", "no-date", "non-numeric", "null-value",
+        "humidity-high", "humidity-negative", "illumination-negative", "nan",
+        "nan-illumination", "nan-humidity", "inf", "minus-inf", "inf-illumination",
+        "minus-inf-illumination", "huge-int", "bad-month", "bad-date-form",
+        "short-time", "time-letters", "hour-25", "second-60", "present-string",
+        "present-null"])
+
+
+def with_fields(msg: dict, fields: dict) -> dict:
+    msg = {**msg, **fields}
+    return {k: v for k, v in msg.items() if v is not MISSING}
+
 
 class TestReasonAt:
     def test_study_time(self, fixture_store):
@@ -284,6 +336,47 @@ class TestHandleReading:
         assert set(engine.store) == before
         assert (engine.input_count, engine.stored_count) == (0, 0)
 
+    @BAD_NAMES
+    def test_present_names_must_be_local_names(self, fixture_store, name):
+        engine = ContextEngine(fixture_store)
+        before = set(engine.store)
+        for _ in range(2):  # the name memo caches no error
+            ack, commands = engine.handle_reading(reading_msg(present=("Son", name)))
+            assert ack == {"type": "ack", "accepted": False, "stored": False,
+                           "distance": 0.0, "error": NAME_ERROR}
+            assert commands == []
+        assert set(engine.store) == before
+        assert (engine.input_count, engine.stored_count) == (0, 0)
+
+    def test_accepted_readings_survive_serialize_and_parse(self):
+        rng = random.Random(97)
+        alphabet = "aZ09_-. >:#\"\\\né"
+        engine = ContextEngine()
+        accepted = 0
+        for i in range(400):
+            names = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 3)))
+                     for _ in range(rng.randint(0, 3))]
+            ack, _ = engine.handle_reading(reading_msg(
+                time=f"{i // 3600:02d}{i // 60 % 60:02d}{i % 60:02d}", present=names))
+            if ack["accepted"]:
+                accepted += 1
+                assert set(rdf.parse_data(rdf.serialize(engine.store))) == set(engine.store)
+            else:
+                assert ack["error"] == NAME_ERROR
+        assert 50 < accepted < 350  # both outcomes are exercised
+        assert ingest._person.cache_info().currsize <= ingest.MEMO_SIZE
+
+    @REJECTIONS
+    def test_rejecting_ack_message(self, fixture_store, fields, error):
+        engine = ContextEngine(fixture_store)
+        # twice, so a memo on the admission path cannot hide a second failure
+        for _ in range(2):
+            ack, commands = engine.handle_reading(with_fields(reading_msg(), fields))
+            assert ack == {"type": "ack", "accepted": False, "stored": False,
+                           "distance": 0.0, "error": f"bad reading payload: {error}"}
+            assert commands == []
+        assert (engine.input_count, engine.stored_count) == (0, 0)
+
     def test_every_reading_gets_one_ack(self, fixture_store):
         engine = ContextEngine(fixture_store)
         acks = [engine.handle_reading(reading_msg(temp=21.0 + i))[0]
@@ -476,6 +569,18 @@ class TestServe:
         client.send({**reading_msg(stream="bad"), "present": present})
         assert client.recv() == {"type": "ack", "accepted": False, "stored": False,
                                  "distance": 0.0, "error": PRESENT_ERROR}
+        client.send(reading_msg(stream="bad", present=()))
+        assert client.recv()["accepted"] is True
+        assert engine.input_count == 1
+        client.close()
+
+    @BAD_NAMES
+    def test_bad_name_rejected_and_connection_kept(self, server, name):
+        srv, engine = server
+        client = _Client(srv.server_address[1])
+        client.send(reading_msg(stream="bad", present=(name,)))
+        assert client.recv() == {"type": "ack", "accepted": False, "stored": False,
+                                 "distance": 0.0, "error": NAME_ERROR}
         client.send(reading_msg(stream="bad", present=()))
         assert client.recv()["accepted"] is True
         assert engine.input_count == 1
@@ -753,6 +858,13 @@ class TestReplay:
         lines = [reading_msg(), {**reading_msg(time="180001"), "present": present}]
         with pytest.raises(TraceError, match=f"^line 2: {PRESENT_ERROR}$"):
             replay(self.write_trace(tmp_path, lines))
+
+    @BAD_NAMES
+    def test_bad_name_names_line(self, tmp_path, name):
+        lines = [reading_msg(), reading_msg(time="180001", present=(name,))]
+        with pytest.raises(TraceError) as info:
+            replay(self.write_trace(tmp_path, lines))
+        assert str(info.value) == f"line 2: {NAME_ERROR}"
 
     def test_invalid_model_refused_before_first_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import GHOST_MODEL, rand_reading
 from homectx import rdf
 from homectx.ontology import (
+    MEMO_SIZE,
     EnvironmentReading,
     ModelError,
     TimeOfDay,
@@ -39,6 +40,20 @@ class TestTimeOfDay:
             TimeOfDay(24, 0, 0)
         with pytest.raises(ValueError):
             TimeOfDay.from_label("9999")
+
+    def test_label_memo_is_bounded_and_caches_no_error(self):
+        memo = TimeOfDay.from_label
+        assert memo.cache_info().maxsize == MEMO_SIZE
+        for second in range(86400):
+            label = f"{second // 3600:02d}{second // 60 % 60:02d}{second % 60:02d}"
+            assert memo(label).label == label
+        assert memo.cache_info().currsize <= MEMO_SIZE
+        for label in ("250000", "9999", "18h000"):
+            for _ in range(3):  # an invalid label raises every time
+                with pytest.raises(ValueError):
+                    memo(label)
+        assert memo("_180000") == memo("180000") == TimeOfDay(18, 0, 0)
+        assert hash(memo("_180000")) == hash(TimeOfDay(18, 0, 0))
 
 
 class TestReadingTriples:
