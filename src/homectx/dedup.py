@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .ontology import EnvironmentReading
+from .ontology import MEMO_SIZE, EnvironmentReading
 
 DEFAULT_EPSILON = 1e-9
 MAX_DISTANCE = sys.float_info.max
@@ -35,6 +35,8 @@ class FactorSpec:
         if self.threshold is not None:
             if not math.isfinite(self.threshold) or self.threshold < 0:
                 raise ValueError(f"threshold for {self.name} must be finite and >= 0")
+            if self.name in ("presence", "date"):  # compared by equality only
+                raise ValueError(f'threshold for {self.name} must be "categorical"')
 
 
 # Default thresholds: temperature 0.1, illumination 0.5, humidity 0.35;
@@ -74,11 +76,6 @@ class DedupDecision(NamedTuple):
 class DedupConfig:
     factors: Sequence[FactorSpec] = DEFAULT_FACTORS
     epsilon: float = DEFAULT_EPSILON
-    # (name, attribute getter, threshold, unchanged delta, changed delta)
-    # per factor, in factor order, built once here so that should_store does
-    # no per-call lookups; a categorical factor's delta is one of the two
-    # shared FactorDeltas (immutable, so safe to share)
-    plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.factors:
@@ -91,10 +88,12 @@ class DedupConfig:
             raise ValueError(f"unknown factors: {sorted(unknown)}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        object.__setattr__(self, "plan", tuple(
-            (spec.name, attrgetter(_ATTRIBUTES[spec.name]), spec.threshold,
-             FactorDelta(spec.name, 0.0, False), FactorDelta(spec.name, 1.0, True))
-            for spec in self.factors))
+
+    @cached_property
+    def comparator(self) -> Callable:
+        """should_store's comparison of a reading with its baseline, compiled
+        at first use; equal configs share it (see _compile)."""
+        return _compile(tuple(self.factors), self.epsilon)
 
 
 def load_threshold_overrides(path) -> DedupConfig:
@@ -126,6 +125,47 @@ def load_threshold_overrides(path) -> DedupConfig:
 _new = tuple.__new__
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _compile(factors: tuple, epsilon: float) -> Callable:
+    """should_store's comparison for one config, as one straight-line
+    function built the way dataclasses builds __init__.  Its source names
+    only attributes from _ATTRIBUTES; every other value is in its namespace."""
+    ns = {"_new": _new, "FactorDelta": FactorDelta, "DedupDecision": DedupDecision,
+          "_INF": _INF, "_sqrt": math.sqrt, "MAX_DISTANCE": MAX_DISTANCE,
+          "epsilon": epsilon}
+    lines, squares, deltas = [], [], []
+    for i, spec in enumerate(factors):
+        attr = _ATTRIBUTES[spec.name]
+        if spec.threshold is None:  # d is 0 or 1, so is d ** 2, and e adds as it
+            ns[f"same{i}"] = FactorDelta(spec.name, 0.0, False)
+            ns[f"changed{i}"] = FactorDelta(spec.name, 1.0, True)
+            lines.append(f"e{i} = baseline.{attr} != curr.{attr}")
+            squares.append(f"e{i}")
+            deltas.append(f"changed{i} if e{i} else same{i}")
+            continue
+        ns[f"name{i}"], ns[f"threshold{i}"] = spec.name, spec.threshold
+        lines += [f"p, c = baseline.{attr}, curr.{attr}",
+                  "if not (-_INF < p < _INF and -_INF < c < _INF):",
+                  f"    raise ValueError('non-finite value for factor ' + name{i})",
+                  "s = abs(p)",
+                  f"d{i} = abs(c - p) / (s if s >= epsilon else epsilon)",
+                  f"e{i} = d{i} > threshold{i}"]
+        squares.append(f"d{i} ** 2")
+        deltas.append(f"_new(FactorDelta, (name{i}, d{i}, e{i}))")
+    store = " or ".join(f"e{i}" for i in range(len(factors)))
+    lines += ["try:", f"    total = {' + '.join(squares)}",
+              "except OverflowError:  # a d above about 1.3e154",
+              "    total = _INF",
+              "distance = _sqrt(total)",
+              "if distance > MAX_DISTANCE:",
+              "    distance = MAX_DISTANCE",
+              f"return _new(DedupDecision, ({store}, distance, ({', '.join(deltas)},),"
+              " baseline.id))"]
+    source = "def compare(baseline, curr):\n" + "".join(f"    {line}\n" for line in lines)
+    exec(compile(source, "<dedup comparator>", "exec"), ns)
+    return ns["compare"]
+
+
 def should_store(baseline: Optional[EnvironmentReading], curr: EnvironmentReading,
                  cfg: DedupConfig = DedupConfig()) -> DedupDecision:
     """Store when there is no baseline, or when any factor exceeds its threshold.
@@ -138,34 +178,4 @@ def should_store(baseline: Optional[EnvironmentReading], curr: EnvironmentReadin
     """
     if baseline is None:
         return DedupDecision(True, 0.0, (), None)
-    epsilon = cfg.epsilon
-    deltas = []
-    store = False
-    total = 0.0
-    for name, get, threshold, unchanged, changed in cfg.plan:
-        prev = get(baseline)
-        now = get(curr)
-        if threshold is None:  # categorical: d is 0 or 1, and so is d ** 2
-            if prev == now:
-                deltas.append(unchanged)
-            else:
-                deltas.append(changed)
-                store = True
-                total += 1.0
-            continue
-        if not (-_INF < prev < _INF and -_INF < now < _INF):
-            raise ValueError(f"non-finite value for factor {name}")
-        scale = abs(prev)
-        d = abs(now - prev) / (scale if scale >= epsilon else epsilon)
-        exceeded = d > threshold
-        deltas.append(_new(FactorDelta, (name, d, exceeded)))
-        if exceeded:
-            store = True
-        try:
-            total += d ** 2
-        except OverflowError:  # d above about 1.3e154
-            total = _INF
-    distance = math.sqrt(total)
-    if distance > MAX_DISTANCE:
-        distance = MAX_DISTANCE
-    return _new(DedupDecision, (store, distance, tuple(deltas), baseline.id))
+    return cfg.comparator(baseline, curr)

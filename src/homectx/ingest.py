@@ -24,6 +24,7 @@ from .ontology import (
     MEMO_SIZE,
     EnvironmentReading,
     TimeOfDay,
+    check_ranges,
     load_home_model,
     reading_to_triples,
 )
@@ -141,24 +142,36 @@ def parse_reading_payload(msg: dict) -> tuple[str, EnvironmentReading]:
     try:
         stream = str(msg["stream"])
         time = TimeOfDay.from_label(str(msg["time"]))
-        # positional, in field order: humidity, temperature, illumination,
-        # date, time, persons_present
-        reading = EnvironmentReading(
-            float(msg["humidity"]),
-            float(msg["temperature"]),
-            float(msg["illumination"]),
-            Date.fromisoformat(str(msg["date"])),
-            time,
-            _persons(msg.get("present", [])),
-        )
+        humidity = float(msg["humidity"])
+        temperature = float(msg["temperature"])
+        illumination = float(msg["illumination"])
+        date = _date(str(msg["date"]))
+        present = msg.get("present", [])
+        persons = _persons(present) if present != [] else frozenset()
+        check_ranges(humidity, illumination)
         # The range checks passed, so humidity is finite and illumination
         # is not below 0: NaN and the infinities fail these comparisons.
-        if not (-math.inf < reading.temperature < math.inf
-                and reading.illumination < math.inf):
+        if not (-math.inf < temperature < math.inf and illumination < math.inf):
             raise ValueError("sensor values must be finite numbers")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"bad reading payload: {exc}") from None
+    # checked: skip the frozen __init__, with its object.__setattr__ per field
+    reading = object.__new__(EnvironmentReading)
+    reading.__dict__.update(humidity=humidity, temperature=temperature,
+                            illumination=illumination, date=date, time=time,
+                            persons_present=persons)
     return stream, reading
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _date(text: str) -> Date:
+    """A wire date, which must read YYYY-MM-DD: fromisoformat alone also
+    takes 20070411 and week dates on 3.11.  No non-string's str() has that
+    form, so a date that is not a JSON string fails here too."""
+    date = Date.fromisoformat(text)
+    if date.isoformat() != text:
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return date
 
 
 def _persons(present) -> frozenset:

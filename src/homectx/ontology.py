@@ -87,10 +87,7 @@ class EnvironmentReading:
     persons_present: frozenset[Iri] = frozenset()
 
     def __post_init__(self):
-        if not 0 <= self.humidity <= 100:
-            raise ValueError(f"humidity out of range: {self.humidity}")
-        if self.illumination < 0:
-            raise ValueError(f"illumination must be >= 0: {self.illumination}")
+        check_ranges(self.humidity, self.illumination)
 
     @cached_property
     def id(self) -> Iri:
@@ -99,6 +96,14 @@ class EnvironmentReading:
         hashing ignore it."""
         stamp = f"{self.date.year % 100:02d}{self.date.month:02d}{self.date.day:02d}"
         return home(f"_{stamp}{self.time.label}")
+
+
+def check_ranges(humidity: float, illumination: float) -> None:
+    """A reading's range checks; homectx.ingest runs them without __init__."""
+    if not 0 <= humidity <= 100:
+        raise ValueError(f"humidity out of range: {humidity}")
+    if illumination < 0:
+        raise ValueError(f"illumination must be >= 0: {illumination}")
 
 
 def format_double(value: float) -> str:

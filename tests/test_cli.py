@@ -103,7 +103,8 @@ class TestServe:
         ('{"temperature": "x"}', "could not convert string to float"),
         ('{"temperature": null}', 'threshold for temperature must be a number'),
         ('["temperature"]', "threshold file must hold a JSON object"),
-    ], ids=["invalid-json", "bad-value", "null-value", "not-an-object"])
+        ('{"presence": 0.5}', 'threshold for presence must be "categorical"'),
+    ], ids=["invalid-json", "bad-value", "null-value", "not-an-object", "numeric-presence"])
     def test_bad_thresholds_exit_1_with_one_line(self, tmp_path, capsys, monkeypatch,
                                                  content, reason):
         def no_bind(*args):
@@ -221,6 +222,21 @@ class TestReplayCommand:
 
     def test_unknown_trace_path(self, capsys):
         assert main(["replay", "/no/such/trace"]) == 1
+
+    @pytest.mark.parametrize("content", ['{"presence": 0.5}', '{"date": 1}'],
+                             ids=["presence", "date"])
+    def test_numeric_categorical_threshold_exits_1_with_one_line(self, tmp_path, capsys,
+                                                                 content):
+        # it used to pass, then every comparison with a baseline raised TypeError
+        trace = tmp_path / "trace.jsonl"
+        gen_trace(trace, TraceParams(streams=1, duration=5, events=0, seed=4))
+        overrides = tmp_path / "thresholds.json"
+        overrides.write_text(content)
+        assert main(["replay", "--thresholds", str(overrides), str(trace)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("replay error: threshold for ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_threshold_overrides_change_outcome(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"

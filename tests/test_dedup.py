@@ -217,8 +217,11 @@ def oracle_pairs(rng, n):
 
 class TestOracle:
     @pytest.mark.parametrize("which", ["default", "temperature-categorical",
-                                       "reordered"])
+                                       "reordered", "humidity-presence",
+                                       "temperature-only", "epsilon-50",
+                                       "epsilon-inf"])
     def test_should_store_matches_reference(self, which, tmp_path):
+        by_name = {f.name: f for f in DEFAULT_FACTORS}
         if which == "default":
             cfg = CFG
         elif which == "temperature-categorical":
@@ -226,10 +229,17 @@ class TestOracle:
             path.write_text('{"temperature": "categorical"}')
             cfg = load_threshold_overrides(path)
             assert cfg.factors[0].threshold is None
-        else:
-            by_name = {f.name: f for f in DEFAULT_FACTORS}
+        elif which == "reordered":
             cfg = DedupConfig(factors=tuple(by_name[n] for n in (
                 "date", "humidity", "presence", "temperature", "illumination")))
+        elif which == "humidity-presence":
+            cfg = DedupConfig(factors=(by_name["humidity"], by_name["presence"]))
+        elif which == "temperature-only":
+            cfg = DedupConfig(factors=(TEMP,))
+        else:
+            # zero-illumination baselines, and most temperatures, fall below
+            # epsilon 50; an infinite epsilon makes every numeric delta 0
+            cfg = DedupConfig(epsilon=50.0 if which == "epsilon-50" else math.inf)
         rng = random.Random(59)
         verdicts = set()
         for prev, curr in oracle_pairs(rng, 2000):
@@ -241,6 +251,13 @@ class TestOracle:
             assert [(d.name, d.d, d.exceeded) for d in decision.deltas] == deltas
             verdicts.add(store)
         assert verdicts == {True, False}
+
+    def test_equal_configs_share_one_comparator(self):
+        assert DedupConfig().comparator is CFG.comparator
+        assert DedupConfig(factors=list(DEFAULT_FACTORS)).comparator is CFG.comparator
+        assert DedupConfig(epsilon=1.0).comparator is not CFG.comparator
+        reordered = DedupConfig(factors=DEFAULT_FACTORS[::-1])
+        assert reordered.comparator is not CFG.comparator
 
 
 def admit(engine, stream, reading):
@@ -325,12 +342,26 @@ class TestConfig:
 
     def test_threshold_overrides_file(self, tmp_path):
         path = tmp_path / "thresholds.json"
-        path.write_text('{"temperature": 0.5, "date": 0.0}')
+        path.write_text('{"temperature": 0.5, "humidity": 0.0, "date": "categorical"}')
         cfg = load_threshold_overrides(path)
         by_name = {f.name: f for f in cfg.factors}
         assert by_name["temperature"].threshold == 0.5
-        assert by_name["date"].threshold == 0.0
+        assert by_name["humidity"].threshold == 0.0
+        assert by_name["date"].threshold is None
         assert by_name["presence"].threshold is None
+
+    @pytest.mark.parametrize("name, threshold", [("presence", 0.5), ("date", 0.0)])
+    def test_numeric_threshold_for_categorical_factor_rejected(self, tmp_path, name,
+                                                                threshold):
+        # a number there would compare a frozenset or date as a number in
+        # every should_store with a baseline
+        message = f'threshold for {name} must be "categorical"'
+        with pytest.raises(ValueError, match=message):
+            DedupConfig(factors=(TEMP, FactorSpec(name, threshold)))
+        path = tmp_path / "thresholds.json"
+        path.write_text(f'{{"{name}": {threshold}}}')
+        with pytest.raises(ValueError, match=message):
+            load_threshold_overrides(path)
 
     def test_unknown_override_rejected(self, tmp_path):
         path = tmp_path / "thresholds.json"

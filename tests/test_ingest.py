@@ -6,6 +6,7 @@ import struct
 import sys
 import threading
 import time
+from dataclasses import FrozenInstanceError, replace
 from datetime import date, timedelta
 from types import SimpleNamespace
 
@@ -13,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GHOST_MODEL, HOME_APPLIANCES, HOME_SLOTS, brute_force_rows, home_text
+from conftest import (
+    GHOST_MODEL,
+    HOME_APPLIANCES,
+    HOME_SLOTS,
+    brute_force_rows,
+    home_text,
+    rand_reading,
+)
 from homectx import ingest, rdf
 from homectx.dedup import DedupConfig
 from homectx.ingest import (
@@ -101,12 +109,19 @@ REJECTIONS = pytest.mark.parametrize("fields, error", [
     ({"time": "180060"}, "invalid time of day 18:0:60"),
     ({"present": "Son"}, "present must be an array of strings"),
     ({"present": None}, "present must be an array of strings"),
+    ({"date": 20070411}, "Invalid isoformat string: '20070411'"),
+    ({"date": None}, "Invalid isoformat string: 'None'"),
+    ({"date": "20070411"}, "Invalid isoformat string: '20070411'"),
+    ({"date": "2007-W15-3"}, "Invalid isoformat string: '2007-W15-3'"),
+    ({"date": "2007-04-11\n"}, "Invalid isoformat string: '2007-04-11\\n'"),
+    ({"date": "\uff12007-04-11"}, "Invalid isoformat string: '\uff12007-04-11'"),
 ], ids=["no-stream", "no-time", "no-humidity", "no-date", "non-numeric", "null-value",
         "humidity-high", "humidity-negative", "illumination-negative", "nan",
         "nan-illumination", "nan-humidity", "inf", "minus-inf", "inf-illumination",
         "minus-inf-illumination", "huge-int", "bad-month", "bad-date-form",
         "short-time", "time-letters", "hour-25", "second-60", "present-string",
-        "present-null"])
+        "present-null", "date-number", "date-null", "date-basic-form", "date-week",
+        "date-newline", "date-wide-digit"])
 
 
 def with_fields(msg: dict, fields: dict) -> dict:
@@ -365,6 +380,27 @@ class TestHandleReading:
                 assert ack["error"] == NAME_ERROR
         assert 50 < accepted < 350  # both outcomes are exercised
         assert ingest._person.cache_info().currsize <= ingest.MEMO_SIZE
+
+    def test_payload_reading_keeps_the_dataclass_contract(self):
+        rng = random.Random(71)
+        for _ in range(300):
+            expect = rand_reading(rng)
+            msg = reading_msg(time=expect.time.label, date=expect.date.isoformat(),
+                              temp=expect.temperature, hum=expect.humidity,
+                              illum=expect.illumination,
+                              present=sorted(p.local for p in expect.persons_present))
+            if not expect.persons_present and rng.random() < 0.5:
+                del msg["present"]
+            stream, got = ingest.parse_reading_payload(msg)
+            assert stream == "s1"
+            assert got == expect and hash(got) == hash(expect)
+            assert got.id == expect.id
+            assert replace(got, humidity=50.0) == replace(expect, humidity=50.0)
+            with pytest.raises(ValueError, match="humidity out of range"):
+                replace(got, humidity=101.0)
+            with pytest.raises(FrozenInstanceError):
+                got.temperature = 0.0
+        assert ingest._date.cache_info().currsize <= ingest.MEMO_SIZE
 
     @REJECTIONS
     def test_rejecting_ack_message(self, fixture_store, fields, error):
