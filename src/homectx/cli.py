@@ -81,7 +81,7 @@ def cmd_reason(args, parser: argparse.ArgumentParser) -> int:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
     for cmd in commands:
-        print(json.dumps(cmd.to_wire()))
+        print(json.dumps(cmd))
     return EXIT_OK
 
 

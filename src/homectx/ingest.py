@@ -17,14 +17,12 @@ import threading
 from dataclasses import dataclass, field, replace
 from datetime import date as Date
 from functools import lru_cache
-from typing import NamedTuple
 
 from .dedup import DedupConfig, should_store
 from .ontology import (
     MEMO_SIZE,
     EnvironmentReading,
     TimeOfDay,
-    check_ranges,
     load_home_model,
     reading_to_triples,
 )
@@ -46,24 +44,6 @@ class TraceError(ValueError):
     """Malformed or out-of-order trace file."""
 
 
-class ApplianceCommand(NamedTuple):
-    appliance: Iri
-    state: bool
-    person: Iri
-    activity: Iri
-    priority: int
-
-    def to_wire(self) -> dict:
-        return {
-            "type": "command",
-            "appliance": self.appliance.local,
-            "state": self.state,
-            "person": self.person.local,
-            "activity": self.activity.local,
-            "priority": self.priority,
-        }
-
-
 _PREFERENCE_QUERY = parse_query("""
 SELECT DISTINCT ?person ?what ?appliance ?status ?priority
 WHERE {
@@ -76,7 +56,6 @@ WHERE {
   ?what ?appliance ?status.
   filter(datatype(?status)=xsd:boolean)
 }
-ORDER BY DESC(?priority)
 """)
 
 
@@ -87,34 +66,26 @@ def preference_query(t: TimeOfDay) -> Query:
     return replace(_PREFERENCE_QUERY, patterns=patterns)
 
 
-def reason_at(store: TripleStore, t: TimeOfDay) -> list[ApplianceCommand]:
-    """Appliance commands for time ``t``: one per appliance, highest priority wins.
+def reason_at(store: TripleStore, t: TimeOfDay) -> list[dict]:
+    """Wire commands for time ``t``: one per appliance, highest priority wins.
 
     Ties resolve to state True (serve at least one occupant), then to person
-    name order, then to activity term order: ``_beats`` is a total order, so
-    the result does not depend on the order of the query's rows.  The
-    store's home model must have passed ``load_home_model``; ContextEngine
-    checks it once, when it is built.
+    name order, then to activity term order: the row key is a total order,
+    so the result does not depend on the order of the query's rows.  The
+    commands come in appliance name order.  The store's home model must have
+    passed ``load_home_model``; ContextEngine checks it once, when it is built.
     """
-    table = evaluate(store, preference_query(t))
-    best: dict[Iri, ApplianceCommand] = {}
-    for person, what, appliance, status, priority in table.rows:
-        cmd = ApplianceCommand(appliance, status.lexical == "true", person, what,
-                               int(priority.lexical))
-        prev = best.get(appliance)
-        if prev is None or _beats(cmd, prev):
-            best[appliance] = cmd
-    return sorted(best.values(), key=lambda c: c.appliance.written)
-
-
-def _beats(a: ApplianceCommand, b: ApplianceCommand) -> bool:
-    if a.priority != b.priority:
-        return a.priority > b.priority
-    if a.state != b.state:
-        return a.state
-    if a.person != b.person:
-        return a.person.written < b.person.written
-    return term_key(a.activity) < term_key(b.activity)
+    best: dict[Iri, tuple] = {}
+    for person, what, appliance, status, priority in evaluate(
+            store, preference_query(t)).rows:
+        state = status.lexical == "true"
+        key = (-int(priority.lexical), not state, person.written, term_key(what))
+        if appliance not in best or key < best[appliance][0]:
+            best[appliance] = (key, state, person, what)
+    return [{"type": "command", "appliance": appliance.local, "state": state,
+             "person": person.local, "activity": what.local, "priority": -key[0]}
+            for appliance, (key, state, person, what)
+            in sorted(best.items(), key=lambda item: item[0].written)]
 
 
 def decode_line(raw: bytes) -> dict | None:
@@ -140,7 +111,9 @@ def decode_line(raw: bytes) -> dict | None:
 def parse_reading_payload(msg: dict) -> tuple[str, EnvironmentReading]:
     """Decode one wire/trace reading object; raises ProtocolError on bad fields."""
     try:
-        stream = str(msg["stream"])
+        stream = msg["stream"]
+        if not isinstance(stream, str):
+            raise ValueError("stream must be a string")
         time = TimeOfDay.from_label(str(msg["time"]))
         humidity = float(msg["humidity"])
         temperature = float(msg["temperature"])
@@ -148,18 +121,13 @@ def parse_reading_payload(msg: dict) -> tuple[str, EnvironmentReading]:
         date = _date(str(msg["date"]))
         present = msg.get("present", [])
         persons = _persons(present) if present != [] else frozenset()
-        check_ranges(humidity, illumination)
+        reading = EnvironmentReading(humidity, temperature, illumination, date, time, persons)
         # The range checks passed, so humidity is finite and illumination
         # is not below 0: NaN and the infinities fail these comparisons.
         if not (-math.inf < temperature < math.inf and illumination < math.inf):
             raise ValueError("sensor values must be finite numbers")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"bad reading payload: {exc}") from None
-    # checked: skip the frozen __init__, with its object.__setattr__ per field
-    reading = object.__new__(EnvironmentReading)
-    reading.__dict__.update(humidity=humidity, temperature=temperature,
-                            illumination=illumination, date=date, time=time,
-                            persons_present=persons)
     return stream, reading
 
 
@@ -250,7 +218,7 @@ class ContextEngine:
                                     or baseline.persons_present != reading.persons_present)
                 self._baselines[stream] = reading
                 if presence_changed:
-                    commands = [c.to_wire() for c in reason_at(self.store, reading.time)]
+                    commands = reason_at(self.store, reading.time)
         ack = {"type": "ack", "accepted": True, "stored": decision.store,
                "distance": decision.distance}
         return ack, commands
@@ -261,8 +229,7 @@ class ContextEngine:
         except (KeyError, ValueError) as exc:
             raise ProtocolError(f"bad tick: {exc}") from None
         with self._lock:
-            commands = reason_at(self.store, time)
-        return [c.to_wire() for c in commands]
+            return reason_at(self.store, time)
 
 
 class _Handler(socketserver.StreamRequestHandler):

@@ -65,14 +65,15 @@ class TimeOfDay:
     def iri(self) -> Iri:
         return home(f"_{self.label}")
 
-    @classmethod
+    @staticmethod
     @lru_cache(maxsize=MEMO_SIZE)
-    def from_label(cls, label: str) -> "TimeOfDay":
-        """Memoised: the value is frozen, and a bad label raises every time."""
+    def from_label(label: str) -> "TimeOfDay":
+        """Memoised: the value is frozen, and a bad label raises every time.
+        ASCII only: isdigit() also takes other scripts' digits and superscripts."""
         digits = label.lstrip("_")
-        if len(digits) != 6 or not digits.isdigit():
+        if len(digits) != 6 or not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"time label must be 6 digits, got {label!r}")
-        return cls(int(digits[0:2]), int(digits[2:4]), int(digits[4:6]))
+        return TimeOfDay(int(digits[0:2]), int(digits[2:4]), int(digits[4:6]))
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,16 @@ class EnvironmentReading:
     time: TimeOfDay
     persons_present: frozenset[Iri] = frozenset()
 
-    def __post_init__(self):
-        check_ranges(self.humidity, self.illumination)
+    def __init__(self, humidity: float, temperature: float, illumination: float,
+                 date: Date, time: TimeOfDay, persons_present: frozenset[Iri] = frozenset()):
+        """Kept by dataclass: the range checks, then one update, not a __setattr__ per field."""
+        if not 0 <= humidity <= 100:
+            raise ValueError(f"humidity out of range: {humidity}")
+        if illumination < 0:
+            raise ValueError(f"illumination must be >= 0: {illumination}")
+        self.__dict__.update(humidity=humidity, temperature=temperature,
+                             illumination=illumination, date=date, time=time,
+                             persons_present=persons_present)
 
     @cached_property
     def id(self) -> Iri:
@@ -96,14 +105,6 @@ class EnvironmentReading:
         hashing ignore it."""
         stamp = f"{self.date.year % 100:02d}{self.date.month:02d}{self.date.day:02d}"
         return home(f"_{stamp}{self.time.label}")
-
-
-def check_ranges(humidity: float, illumination: float) -> None:
-    """A reading's range checks; homectx.ingest runs them without __init__."""
-    if not 0 <= humidity <= 100:
-        raise ValueError(f"humidity out of range: {humidity}")
-    if illumination < 0:
-        raise ValueError(f"illumination must be >= 0: {illumination}")
 
 
 def format_double(value: float) -> str:

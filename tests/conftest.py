@@ -141,6 +141,15 @@ def rand_reading(rng: random.Random) -> EnvironmentReading:
     )
 
 
+# Six-character time labels whose digits are not ASCII: fullwidth and
+# Arabic-Indic digits, which int() reads, and a superscript, which it refuses.
+NON_ASCII_TIMES = pytest.mark.parametrize("label", [
+    "\uff11\uff18\uff10\uff10\uff10\uff10",
+    "\u0661\u0668\u0660\u0660\u0660\u0660",
+    "18000\u00b2",
+], ids=["fullwidth", "arabic-indic", "superscript"])
+
+
 # --- synthetic homes (seeded) for the planner and reasoning-cost tests
 
 HOME_SLOTS = ("070000", "120000", "180000", "210000")

@@ -3,7 +3,7 @@ import socket
 
 import pytest
 
-from conftest import GHOST_MODEL
+from conftest import GHOST_MODEL, NON_ASCII_TIMES
 from homectx import cli, ingest, tracegen
 from homectx.dedup import DEFAULT_FACTORS
 from homectx.cli import TraceParams, gen_trace, main
@@ -64,6 +64,13 @@ class TestReason:
         with pytest.raises(SystemExit) as exc:
             main(["reason", *fixture_args(), "9999"])
         assert exc.value.code == 2
+
+    @NON_ASCII_TIMES
+    def test_non_ascii_time_is_usage_error(self, capsys, label):
+        with pytest.raises(SystemExit) as exc:
+            main(["reason", *fixture_args(), label])
+        assert exc.value.code == 2
+        assert f"time label must be 6 digits, got {label!r}" in capsys.readouterr().err
 
 
 class TestServe:

@@ -18,6 +18,7 @@ from conftest import (
     GHOST_MODEL,
     HOME_APPLIANCES,
     HOME_SLOTS,
+    NON_ASCII_TIMES,
     brute_force_rows,
     home_text,
     rand_reading,
@@ -115,13 +116,22 @@ REJECTIONS = pytest.mark.parametrize("fields, error", [
     ({"date": "2007-W15-3"}, "Invalid isoformat string: '2007-W15-3'"),
     ({"date": "2007-04-11\n"}, "Invalid isoformat string: '2007-04-11\\n'"),
     ({"date": "\uff12007-04-11"}, "Invalid isoformat string: '\uff12007-04-11'"),
+    ({"stream": 1}, "stream must be a string"),
+    ({"stream": None}, "stream must be a string"),
+    ({"stream": ["s1"]}, "stream must be a string"),
+    ({"time": "\uff11\uff18\uff10\uff10\uff10\uff10"},
+     "time label must be 6 digits, got '\uff11\uff18\uff10\uff10\uff10\uff10'"),
+    ({"time": "\u0661\u0668\u0660\u0660\u0660\u0660"},
+     "time label must be 6 digits, got '\u0661\u0668\u0660\u0660\u0660\u0660'"),
+    ({"time": "18000\u00b2"}, "time label must be 6 digits, got '18000\u00b2'"),
 ], ids=["no-stream", "no-time", "no-humidity", "no-date", "non-numeric", "null-value",
         "humidity-high", "humidity-negative", "illumination-negative", "nan",
         "nan-illumination", "nan-humidity", "inf", "minus-inf", "inf-illumination",
         "minus-inf-illumination", "huge-int", "bad-month", "bad-date-form",
         "short-time", "time-letters", "hour-25", "second-60", "present-string",
         "present-null", "date-number", "date-null", "date-basic-form", "date-week",
-        "date-newline", "date-wide-digit"])
+        "date-newline", "date-wide-digit", "stream-number", "stream-null", "stream-array",
+        "time-fullwidth", "time-arabic-indic", "time-superscript"])
 
 
 def with_fields(msg: dict, fields: dict) -> dict:
@@ -132,18 +142,17 @@ def with_fields(msg: dict, fields: dict) -> dict:
 class TestReasonAt:
     def test_study_time(self, fixture_store):
         commands = reason_at(fixture_store, TimeOfDay(18, 0, 0))
-        assert {(c.appliance.local, c.state) for c in commands} == FIG_COMMANDS_18H
+        assert {(c["appliance"], c["state"]) for c in commands} == FIG_COMMANDS_18H
         for c in commands:
-            assert (c.person.local, c.activity.local, c.priority) == \
-                ("Son", "Self-study", 5)
+            assert (c["person"], c["activity"], c["priority"]) == ("Son", "Self-study", 5)
 
     def test_entertain_time(self, fixture_store):
         commands = reason_at(fixture_store, TimeOfDay(20, 0, 0))
-        assert {(c.appliance.local, c.state) for c in commands} == {
+        assert {(c["appliance"], c["state"]) for c in commands} == {
             ("TV", True), ("AirConditioner", True), ("Light", True),
             ("Projector", True),
         }
-        assert all((c.person.local, c.priority) == ("Father", 8) for c in commands)
+        assert all((c["person"], c["priority"]) == ("Father", 8) for c in commands)
 
     def test_idle_time_is_empty(self, fixture_store):
         assert reason_at(fixture_store, TimeOfDay(3, 0, 0)) == []
@@ -165,10 +174,10 @@ class TestReasonAt:
             :_070411210000 :personIn :Father .
             :_070411210000 :personIn :Son .
         """))
-        commands = {c.appliance.local: c for c in reason_at(store, TimeOfDay(21, 0, 0))}
-        assert commands["TV"].state is True
-        assert commands["TV"].person == home("Father")
-        assert commands["TV"].priority == 8
+        commands = {c["appliance"]: c for c in reason_at(store, TimeOfDay(21, 0, 0))}
+        assert commands["TV"]["state"] is True
+        assert commands["TV"]["person"] == "Father"
+        assert commands["TV"]["priority"] == 8
 
     def test_model_errors_propagate(self):
         # checked once, where the model enters the engine, not per reasoning
@@ -229,8 +238,7 @@ class TestReasonAt:
         rng = random.Random(5)
         for _ in range(8):
             commands = reason_at(self.tied_profiles_store(rng), TimeOfDay(18, 0, 0))
-            assert [(c.appliance.local, c.activity.local) for c in commands] == \
-                [("Light", "Alpha")]
+            assert [(c["appliance"], c["activity"]) for c in commands] == [("Light", "Alpha")]
 
     def test_winner_independent_of_row_order(self, monkeypatch):
         rng = random.Random(6)
@@ -244,7 +252,7 @@ class TestReasonAt:
 
             monkeypatch.setattr(ingest, "evaluate", shuffled)
             commands = reason_at(store, TimeOfDay(18, 0, 0))
-            assert [c.activity.local for c in commands] == ["Alpha"]
+            assert [c["activity"] for c in commands] == ["Alpha"]
 
     @pytest.mark.parametrize("persons, present", [(8, 3), (30, 3)])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -255,9 +263,12 @@ class TestReasonAt:
         def check_every_slot():
             for slot in HOME_SLOTS:
                 t = TimeOfDay.from_label(slot)
-                got = [(c.appliance, c.state, c.person, c.activity, c.priority)
-                       for c in reason_at(store, t)]
-                assert got == winner_rule(brute_force_rows(list(store), preference_query(t)))
+                want = [{"type": "command", "appliance": appliance.local, "state": state,
+                         "person": person.local, "activity": activity.local,
+                         "priority": priority}
+                        for appliance, state, person, activity, priority
+                        in winner_rule(brute_force_rows(list(store), preference_query(t)))]
+                assert reason_at(store, t) == want
 
         check_every_slot()
         rng = random.Random(seed)
@@ -687,6 +698,15 @@ class TestServe:
         client.send({"type": "tick", "time": "200000"})
         commands = [client.recv() for _ in range(4)]
         assert all(c["person"] == "Father" for c in commands)
+        client.close()
+
+    @NON_ASCII_TIMES
+    def test_non_ascii_tick_gets_error_line(self, server, label):
+        srv, _ = server
+        client = _Client(srv.server_address[1])
+        client.send({"type": "tick", "time": label})
+        assert client.recv() == {
+            "type": "error", "message": f"bad tick: time label must be 6 digits, got {label!r}"}
         client.close()
 
 

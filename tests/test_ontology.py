@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GHOST_MODEL, rand_reading
+from conftest import GHOST_MODEL, NON_ASCII_TIMES, rand_reading
 from homectx import rdf
 from homectx.ontology import (
     MEMO_SIZE,
@@ -40,6 +40,13 @@ class TestTimeOfDay:
             TimeOfDay(24, 0, 0)
         with pytest.raises(ValueError):
             TimeOfDay.from_label("9999")
+
+    @NON_ASCII_TIMES
+    def test_label_digits_must_be_ascii(self, label):
+        for _ in range(2):  # an invalid label raises every time
+            with pytest.raises(ValueError) as exc:
+                TimeOfDay.from_label(label)
+            assert str(exc.value) == f"time label must be 6 digits, got {label!r}"
 
     def test_label_memo_is_bounded_and_caches_no_error(self):
         memo = TimeOfDay.from_label

@@ -12,8 +12,6 @@ from conftest import (
     rand_query,
     rand_store,
 )
-from homectx.ingest import preference_query
-from homectx.ontology import TimeOfDay
 from homectx.rdf import (
     Literal,
     ParseError,
@@ -179,6 +177,11 @@ class TestEvaluate:
         assert evaluate(fixture_store, q).rows == evaluate(fixture_store, q).rows
 
 
+def paper_query(slot: str):
+    """The paper's verbatim query, ORDER BY included, at ``slot``."""
+    return parse_query(APPLIANCE_QUERY.replace("_180000", f"_{slot}"))
+
+
 class TestPlanner:
     """The join order is planned; results must not depend on it."""
 
@@ -188,13 +191,13 @@ class TestPlanner:
 
     @pytest.mark.parametrize("slot", HOME_SLOTS)
     def test_preference_query_matches_brute_force(self, small_home, slot):
-        query = preference_query(TimeOfDay.from_label(slot))
+        query = paper_query(slot)
         expected = brute_force_rows(list(small_home), query)
         assert expected  # four present persons, all active at the slot
         assert Counter(project_solutions(small_home, query)) == Counter(expected)
 
     def test_preference_rows_independent_of_pattern_order(self, small_home):
-        query = preference_query(TimeOfDay(18, 0, 0))
+        query = paper_query("180000")
         reference = evaluate(small_home, query).rows
         assert reference
         rng = random.Random(83)
