@@ -50,47 +50,22 @@ def cmd_query(args) -> int:
             query_text = Path(query_text).read_text(encoding="utf-8")
     except OSError:
         pass  # inline query text, not a path
-    try:
-        store = _load_store(args.data)
-        query = sparql.parse_query(query_text)
-    except rdf.ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except sparql.QueryError as exc:
-        print(f"query error: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
-    table = sparql.evaluate(store, query)
+    store = _load_store(args.data)
+    table = sparql.evaluate(store, sparql.parse_query(query_text))
     sys.stdout.write(sparql.format_results(table, mode=args.output))
     return EXIT_OK
 
 
-def cmd_reason(args, parser: argparse.ArgumentParser) -> int:
-    try:
-        time = ontology.TimeOfDay.from_label(args.time)
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        store = _load_store(args.data)
-    except rdf.ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        ontology.load_home_model(store)
-        commands = ingest.reason_at(store, time)
-    except ontology.ModelError as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
-    for cmd in commands:
+def cmd_reason(args) -> int:
+    store = _load_store(args.data)
+    ontology.load_home_model(store)
+    for cmd in ingest.reason_at(store, args.time):
         print(json.dumps(cmd))
     return EXIT_OK
 
 
 def cmd_replay(args) -> int:
-    try:
-        stats = ingest.replay(args.trace, _dedup_config(args))
-    except (OSError, ValueError) as exc:
-        print(f"replay error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    stats = ingest.replay(args.trace, _dedup_config(args))
     print(f"input_count={stats.input_count}")
     print(f"stored_count={stats.stored_count}")
     print(f"reduction_factor={stats.reduction_factor:.2f}")
@@ -99,47 +74,33 @@ def cmd_replay(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    try:
-        store = _load_store(args.data)
-    except rdf.ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        ingest.serve(("127.0.0.1", args.port), store, _dedup_config(args))
-    except ontology.ModelError as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
-    except (OSError, OverflowError, ValueError) as exc:
-        # port in use or out of range, bad --thresholds file
-        print(f"serve error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    ingest.serve(("127.0.0.1", args.port), _load_store(args.data), _dedup_config(args))
     return EXIT_OK
 
 
 def cmd_load(args) -> int:
-    try:
-        store = _load_store(args.data)
-    except rdf.ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    sys.stdout.write(rdf.serialize(store))
+    sys.stdout.write(rdf.serialize(_load_store(args.data)))
     return EXIT_OK
 
 
 def cmd_gen_trace(args) -> int:
     params = TraceParams(streams=args.streams, duration=args.duration,
                          rate=args.rate, events=args.events, seed=args.seed)
-    try:
-        manifest = gen_trace(args.out, params)
-    except ValueError as exc:
-        print(f"gen-trace error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    manifest = gen_trace(args.out, params)
     print(f"wrote {manifest['lines']} lines, {len(manifest['events'])} events "
           f"to {args.out}")
     return EXIT_OK
 
 
 # --- argument wiring ----------------------------------------------------------
+
+def _time_of_day(label: str) -> ontology.TimeOfDay:
+    """``reason``'s time argument; a bad label is a usage error (exit 2)."""
+    try:
+        return ontology.TimeOfDay.from_label(label)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="homectx",
@@ -155,24 +116,29 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON threshold overrides for dedup")
 
     p = sub.add_parser("query", help="evaluate a query over data files")
+    p.set_defaults(run=cmd_query)
     add_data(p)
     p.add_argument("--output", choices=("table", "tsv"), default="table")
     p.add_argument("query", help="query text, or a path to a query file")
 
     p = sub.add_parser("reason", help="emit appliance commands for a time")
+    p.set_defaults(run=cmd_reason)
     add_data(p)
-    p.add_argument("time", help="time of day as HHMMSS")
+    p.add_argument("time", type=_time_of_day, help="time of day as HHMMSS")
 
     p = sub.add_parser("replay", help="run a trace through dedup + reasoning")
+    p.set_defaults(run=cmd_replay)
     add_thresholds(p)
     p.add_argument("trace", help="trace file, one JSON object per line")
 
     p = sub.add_parser("serve", help="run the ingestion TCP server")
+    p.set_defaults(run=cmd_serve)
     add_data(p)
     add_thresholds(p)
     p.add_argument("--port", type=int, default=8765)
 
     p = sub.add_parser("gen-trace", help="generate a synthetic sensor trace")
+    p.set_defaults(run=cmd_gen_trace)
     p.add_argument("--out", required=True)
     p.add_argument("--streams", type=int, default=10)
     p.add_argument("--duration", type=int, default=3600)
@@ -181,26 +147,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("load", help="validate and canonicalize data files")
+    p.set_defaults(run=cmd_load)
     add_data(p)
     return parser
 
 
+# The stderr prefix and exit code of each error kind a command reports; any
+# other OSError, OverflowError or ValueError prints "<command> error: ..."
+# and exits EXIT_PARSE.
+ERRORS = (
+    (rdf.ParseError, "parse error", EXIT_PARSE),
+    (sparql.QueryError, "query error", EXIT_CONTRACT),
+    (ontology.ModelError, "model error", EXIT_CONTRACT),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "query":
-        return cmd_query(args)
-    if args.command == "reason":
-        return cmd_reason(args, parser)
-    if args.command == "replay":
-        return cmd_replay(args)
-    if args.command == "serve":
-        return cmd_serve(args)
-    if args.command == "gen-trace":
-        return cmd_gen_trace(args)
-    if args.command == "load":
-        return cmd_load(args)
-    parser.error(f"unknown command {args.command}")
+    args = build_parser().parse_args(argv)
+    try:
+        return args.run(args)
+    except (OSError, OverflowError, ValueError) as exc:
+        prefix, code = next(((p, c) for kind, p, c in ERRORS if isinstance(exc, kind)),
+                            (f"{args.command} error", EXIT_PARSE))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ from .ontology import MEMO_SIZE, EnvironmentReading
 
 DEFAULT_EPSILON = 1e-9
 MAX_DISTANCE = sys.float_info.max
-_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ def load_threshold_overrides(path) -> DedupConfig:
     for spec in DEFAULT_FACTORS:
         if spec.name in overrides:
             value = overrides[spec.name]
-            if not isinstance(value, (int, float, str)):
+            if isinstance(value, bool) or not isinstance(value, (int, float, str)):
                 raise ValueError(f"threshold for {spec.name} must be a number "
                                  'or "categorical"')
             factors.append(FactorSpec(spec.name,
@@ -131,7 +130,7 @@ def _compile(factors: tuple, epsilon: float) -> Callable:
     function built the way dataclasses builds __init__.  Its source names
     only attributes from _ATTRIBUTES; every other value is in its namespace."""
     ns = {"_new": _new, "FactorDelta": FactorDelta, "DedupDecision": DedupDecision,
-          "_INF": _INF, "_sqrt": math.sqrt, "MAX_DISTANCE": MAX_DISTANCE,
+          "_INF": math.inf, "_sqrt": math.sqrt, "MAX_DISTANCE": MAX_DISTANCE,
           "epsilon": epsilon}
     lines, squares, deltas = [], [], []
     for i, spec in enumerate(factors):
@@ -145,8 +144,6 @@ def _compile(factors: tuple, epsilon: float) -> Callable:
             continue
         ns[f"name{i}"], ns[f"threshold{i}"] = spec.name, spec.threshold
         lines += [f"p, c = baseline.{attr}, curr.{attr}",
-                  "if not (-_INF < p < _INF and -_INF < c < _INF):",
-                  f"    raise ValueError('non-finite value for factor ' + name{i})",
                   "s = abs(p)",
                   f"d{i} = abs(c - p) / (s if s >= epsilon else epsilon)",
                   f"e{i} = d{i} > threshold{i}"]
@@ -171,7 +168,7 @@ def should_store(baseline: Optional[EnvironmentReading], curr: EnvironmentReadin
     """Store when there is no baseline, or when any factor exceeds its threshold.
 
     A factor's delta ``d`` is |curr - prev| / max(|prev|, epsilon) for a
-    numeric factor, which must be finite on both sides (ValueError if not),
+    numeric factor, finite on both sides since every EnvironmentReading is,
     and 0 or 1 for a categorical one, which is exceeded when it changed.
     The distance sums ``d ** 2`` in factor order, then takes the root.  It
     saturates at MAX_DISTANCE, so it is always finite (valid JSON).

@@ -10,12 +10,10 @@ set changed).  ``replay`` is the offline equivalent over a trace file.
 from __future__ import annotations
 
 import json
-import math
 import socketserver
 import sys
 import threading
 from dataclasses import dataclass, field, replace
-from datetime import date as Date
 from functools import lru_cache
 
 from .dedup import DedupConfig, should_store
@@ -26,7 +24,7 @@ from .ontology import (
     load_home_model,
     reading_to_triples,
 )
-from .rdf import PN_LOCAL_RE, Iri, TripleStore, home, term_key
+from .rdf import PN_LOCAL_RE, Iri, TripleStore, home, parse_date, term_key
 from .sparql import Query, evaluate, parse_query, substitute
 
 
@@ -114,7 +112,7 @@ def parse_reading_payload(msg: dict) -> tuple[str, EnvironmentReading]:
         stream = msg["stream"]
         if not isinstance(stream, str):
             raise ValueError("stream must be a string")
-        time = TimeOfDay.from_label(str(msg["time"]))
+        time = _time(msg["time"])
         humidity = float(msg["humidity"])
         temperature = float(msg["temperature"])
         illumination = float(msg["illumination"])
@@ -122,24 +120,20 @@ def parse_reading_payload(msg: dict) -> tuple[str, EnvironmentReading]:
         present = msg.get("present", [])
         persons = _persons(present) if present != [] else frozenset()
         reading = EnvironmentReading(humidity, temperature, illumination, date, time, persons)
-        # The range checks passed, so humidity is finite and illumination
-        # is not below 0: NaN and the infinities fail these comparisons.
-        if not (-math.inf < temperature < math.inf and illumination < math.inf):
-            raise ValueError("sensor values must be finite numbers")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"bad reading payload: {exc}") from None
     return stream, reading
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _date(text: str) -> Date:
-    """A wire date, which must read YYYY-MM-DD: fromisoformat alone also
-    takes 20070411 and week dates on 3.11.  No non-string's str() has that
-    form, so a date that is not a JSON string fails here too."""
-    date = Date.fromisoformat(text)
-    if date.isoformat() != text:
-        raise ValueError(f"Invalid isoformat string: {text!r}")
-    return date
+def _time(label) -> TimeOfDay:
+    """A wire time, which must be a JSON string: checked before the memo hashes it."""
+    if not isinstance(label, str):
+        raise ValueError(f"time label must be 6 digits, got {label!r}")
+    return TimeOfDay.from_label(label)
+
+
+# A wire date, memoised; a non-string's str() never reads YYYY-MM-DD, so it fails.
+_date = lru_cache(maxsize=MEMO_SIZE)(parse_date)
 
 
 def _persons(present) -> frozenset:
@@ -225,7 +219,7 @@ class ContextEngine:
 
     def handle_tick(self, msg: dict) -> list[dict]:
         try:
-            time = TimeOfDay.from_label(str(msg["time"]))
+            time = _time(msg["time"])
         except (KeyError, ValueError) as exc:
             raise ProtocolError(f"bad tick: {exc}") from None
         with self._lock:

@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date as Date
 from functools import cached_property, lru_cache
+from math import inf
 
-from .rdf import Iri, Literal, Triple, TriplePattern, TripleStore, Variable, home, xsd
+from .rdf import (Iri, Literal, Triple, TriplePattern, TripleStore, Variable, home,
+                  parse_date, xsd)
 
 P_NAME = home("name")
 P_PRIORITY = home("hasPriority")
@@ -70,7 +72,7 @@ class TimeOfDay:
     def from_label(label: str) -> "TimeOfDay":
         """Memoised: the value is frozen, and a bad label raises every time.
         ASCII only: isdigit() also takes other scripts' digits and superscripts."""
-        digits = label.lstrip("_")
+        digits = label.removeprefix("_")
         if len(digits) != 6 or not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"time label must be 6 digits, got {label!r}")
         return TimeOfDay(int(digits[0:2]), int(digits[2:4]), int(digits[4:6]))
@@ -89,11 +91,15 @@ class EnvironmentReading:
 
     def __init__(self, humidity: float, temperature: float, illumination: float,
                  date: Date, time: TimeOfDay, persons_present: frozenset[Iri] = frozenset()):
-        """Kept by dataclass: the range checks, then one update, not a __setattr__ per field."""
+        """Kept by dataclass: the value checks, then one update, not a __setattr__ per field."""
         if not 0 <= humidity <= 100:
             raise ValueError(f"humidity out of range: {humidity}")
         if illumination < 0:
             raise ValueError(f"illumination must be >= 0: {illumination}")
+        # Humidity is now finite and illumination not below 0: NaN and the
+        # infinities fail the comparisons above.
+        if not (-inf < temperature < inf and illumination < inf):
+            raise ValueError("sensor values must be finite numbers")
         self.__dict__.update(humidity=humidity, temperature=temperature,
                              illumination=illumination, date=date, time=time,
                              persons_present=persons_present)
@@ -172,7 +178,7 @@ def triples_to_reading(store: TripleStore, rid: Iri) -> EnvironmentReading:
         humidity=humidity,
         temperature=temperature,
         illumination=illumination,
-        date=Date.fromisoformat(date_obj.lexical),
+        date=parse_date(date_obj.lexical),
         time=time,
         persons_present=persons,
     )

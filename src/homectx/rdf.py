@@ -66,7 +66,6 @@ def xsd(local: str) -> Iri:
 
 
 _TIME_RE = re.compile(r"^\d{2}:\d{2}:\d{2}$")
-_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 
 
 def _valid_double(lex: str) -> bool:
@@ -77,11 +76,19 @@ def _valid_double(lex: str) -> bool:
     return v == v and v not in (float("inf"), float("-inf"))
 
 
+def parse_date(text: str) -> _date:
+    """The one date rule, for xsd:date literals and wire dates alike: the
+    text must read YYYY-MM-DD, since fromisoformat alone also takes 20070411
+    and week dates on 3.11."""
+    date = _date.fromisoformat(text)
+    if date.isoformat() != text:
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return date
+
+
 def _valid_date(lex: str) -> bool:
-    if not _DATE_RE.match(lex):
-        return False
     try:
-        _date.fromisoformat(lex)
+        parse_date(lex)
     except ValueError:
         return False
     return True

@@ -16,6 +16,13 @@ QUERY = ("SELECT DISTINCT ?person ?what ?appliance ?status ?priority WHERE { "
          "filter(datatype(?status)=xsd:boolean) } ORDER BY DESC(?priority)")
 
 
+# Threshold values that are not numbers a float can hold, and their errors.
+BAD_THRESHOLD_VALUES = [
+    ('{"temperature": true}', 'threshold for temperature must be a number or "categorical"'),
+    ('{"temperature": 1%s}' % ("0" * 400), "int too large to convert to float"),
+]
+
+
 def fixture_args():
     return ["--data", str(cli.fixture_path())]
 
@@ -111,7 +118,9 @@ class TestServe:
         ('{"temperature": null}', 'threshold for temperature must be a number'),
         ('["temperature"]', "threshold file must hold a JSON object"),
         ('{"presence": 0.5}', 'threshold for presence must be "categorical"'),
-    ], ids=["invalid-json", "bad-value", "null-value", "not-an-object", "numeric-presence"])
+        *BAD_THRESHOLD_VALUES,
+    ], ids=["invalid-json", "bad-value", "null-value", "not-an-object", "numeric-presence",
+            "bool-value", "huge-int"])
     def test_bad_thresholds_exit_1_with_one_line(self, tmp_path, capsys, monkeypatch,
                                                  content, reason):
         def no_bind(*args):
@@ -199,6 +208,13 @@ class TestGenTrace:
         stats = replay(out)
         assert stats.stored_count == params.streams + params.events
 
+    def test_missing_out_directory_exits_1_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "t.jsonl"
+        assert main(["gen-trace", "--out", str(out), "--duration", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gen-trace error: ") and err.count("\n") == 1
+        assert "No such file or directory" in err and not out.parent.exists()
+
     def test_noise_below_thresholds(self):
         # noise alone must never store a reading, or stored != streams + events
         thresholds = {f.name: f.threshold for f in DEFAULT_FACTORS}
@@ -244,6 +260,19 @@ class TestReplayCommand:
         assert captured.out == ""
         assert captured.err.startswith("replay error: threshold for ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("content, reason", BAD_THRESHOLD_VALUES,
+                             ids=["bool-value", "huge-int"])
+    def test_bad_threshold_value_exits_1_with_one_line(self, tmp_path, capsys, content,
+                                                       reason):
+        trace = tmp_path / "trace.jsonl"
+        gen_trace(trace, TraceParams(streams=1, duration=5, events=0, seed=4))
+        overrides = tmp_path / "thresholds.json"
+        overrides.write_text(content)
+        assert main(["replay", "--thresholds", str(overrides), str(trace)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"replay error: {reason}\n"
 
     def test_threshold_overrides_change_outcome(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"

@@ -57,8 +57,9 @@ class TestNormalizedDelta:
             pytest.approx(1e9)
 
     def test_non_finite_rejected(self):
+        # refused while the readings are built, so no comparison sees one
         for prev, curr in [(float("inf"), 1.0), (1.0, float("-inf")), (float("nan"), 1.0)]:
-            with pytest.raises(ValueError, match="non-finite value for factor temperature"):
+            with pytest.raises(ValueError, match="sensor values must be finite numbers"):
                 should_store(reading(temp=prev), reading(temp=curr), CFG)
 
     def test_numeric_delta_scales_linearly(self):

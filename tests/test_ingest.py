@@ -124,6 +124,8 @@ REJECTIONS = pytest.mark.parametrize("fields, error", [
     ({"time": "\u0661\u0668\u0660\u0660\u0660\u0660"},
      "time label must be 6 digits, got '\u0661\u0668\u0660\u0660\u0660\u0660'"),
     ({"time": "18000\u00b2"}, "time label must be 6 digits, got '18000\u00b2'"),
+    ({"time": 180000}, "time label must be 6 digits, got 180000"),
+    ({"time": "_____200000"}, "time label must be 6 digits, got '_____200000'"),
 ], ids=["no-stream", "no-time", "no-humidity", "no-date", "non-numeric", "null-value",
         "humidity-high", "humidity-negative", "illumination-negative", "nan",
         "nan-illumination", "nan-humidity", "inf", "minus-inf", "inf-illumination",
@@ -131,7 +133,20 @@ REJECTIONS = pytest.mark.parametrize("fields, error", [
         "short-time", "time-letters", "hour-25", "second-60", "present-string",
         "present-null", "date-number", "date-null", "date-basic-form", "date-week",
         "date-newline", "date-wide-digit", "stream-number", "stream-null", "stream-array",
-        "time-fullwidth", "time-arabic-indic", "time-superscript"])
+        "time-fullwidth", "time-arabic-indic", "time-superscript", "time-number",
+        "time-underscores"])
+
+# Date strings and whether each is a valid date: an xsd:date literal and a
+# wire date must agree on every one.
+DATES = pytest.mark.parametrize("text, valid", [
+    ("2007-04-11", True), ("2008-02-29", True), ("0001-01-01", True),
+    ("9999-12-31", True), ("20070411", False), ("2007-W15-3", False),
+    ("2007W153", False), ("2007-101", False), ("\uff12007-04-11", False),
+    ("\u0662\u0660\u0660\u0667-\u0660\u0664-\u0661\u0661", False),
+    ("2007-04-11\n", False), (" 2007-04-11", False), ("2007-02-30", False),
+    ("2007-02-29", False), ("0000-01-01", False), ("2007-13-01", False),
+    ("2007-4-11", False), ("2007-04-11T00:00", False), ("", False),
+])
 
 
 def with_fields(msg: dict, fields: dict) -> dict:
@@ -424,6 +439,20 @@ class TestHandleReading:
             assert commands == []
         assert (engine.input_count, engine.stored_count) == (0, 0)
 
+    @DATES
+    def test_literal_and_wire_share_the_date_rule(self, text, valid):
+        try:
+            rdf.Literal(text, rdf.xsd("date"))
+            literal_valid = True
+        except ValueError:
+            literal_valid = False
+        try:
+            ingest.parse_reading_payload(reading_msg(date=text))
+            wire_valid = True
+        except ProtocolError:
+            wire_valid = False
+        assert literal_valid == wire_valid == valid
+
     def test_every_reading_gets_one_ack(self, fixture_store):
         engine = ContextEngine(fixture_store)
         acks = [engine.handle_reading(reading_msg(temp=21.0 + i))[0]
@@ -707,6 +736,16 @@ class TestServe:
         client.send({"type": "tick", "time": label})
         assert client.recv() == {
             "type": "error", "message": f"bad tick: time label must be 6 digits, got {label!r}"}
+        client.close()
+
+    @pytest.mark.parametrize("label", [180000, [1]], ids=["number", "array"])
+    def test_non_string_tick_gets_error_line_then_close(self, server, label):
+        srv, _ = server
+        client = _Client(srv.server_address[1])
+        client.send({"type": "tick", "time": label})
+        assert client.recv() == {
+            "type": "error", "message": f"bad tick: time label must be 6 digits, got {label!r}"}
+        assert client.reader.readline() == ""  # connection closed
         client.close()
 
 
