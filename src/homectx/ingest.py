@@ -113,9 +113,9 @@ def parse_reading_payload(msg: dict) -> tuple[str, EnvironmentReading]:
         if not isinstance(stream, str):
             raise ValueError("stream must be a string")
         time = _time(msg["time"])
-        humidity = float(msg["humidity"])
-        temperature = float(msg["temperature"])
-        illumination = float(msg["illumination"])
+        humidity = _number(msg, "humidity")
+        temperature = _number(msg, "temperature")
+        illumination = _number(msg, "illumination")
         date = _date(str(msg["date"]))
         present = msg.get("present", [])
         persons = _persons(present) if present != [] else frozenset()
@@ -130,6 +130,16 @@ def _time(label) -> TimeOfDay:
     if not isinstance(label, str):
         raise ValueError(f"time label must be 6 digits, got {label!r}")
     return TimeOfDay.from_label(label)
+
+
+def _number(msg: dict, field: str) -> float:
+    """A wire sensor value, which must be a JSON number: not a bool, a string or null."""
+    value = msg[field]
+    if type(value) is float:
+        return value
+    if type(value) is not int:  # a bool too: its type is a subclass of int
+        raise ValueError(f"{field} must be a number")
+    return float(value)
 
 
 # A wire date, memoised; a non-string's str() never reads YYYY-MM-DD, so it fails.
@@ -208,10 +218,8 @@ class ContextEngine:
                 self.stored_count += 1
                 for triple in reading_to_triples(reading):
                     self.store.insert(triple)
-                presence_changed = (baseline is None
-                                    or baseline.persons_present != reading.persons_present)
                 self._baselines[stream] = reading
-                if presence_changed:
+                if baseline is None or baseline.persons_present != reading.persons_present:
                     commands = reason_at(self.store, reading.time)
         ack = {"type": "ack", "accepted": True, "stored": decision.store,
                "distance": decision.distance}

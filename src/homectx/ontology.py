@@ -140,27 +140,25 @@ def _single_object(store: TripleStore, subject: Iri, predicate: Iri):
     return hits[0].object if hits else None
 
 
-def _required_double(store: TripleStore, subject: Iri, predicate: Iri) -> float:
+def _required_literal(store: TripleStore, subject: Iri, predicate: Iri, datatype: Iri) -> str:
+    """The lexical form of the one ``datatype`` literal at ``predicate``."""
     obj = _single_object(store, subject, predicate)
     if obj is None:
         raise ModelError(f"missing property {predicate.local} on {subject.written}")
-    if not isinstance(obj, Literal) or obj.datatype != XSD_DOUBLE:
-        raise ModelError(f"property {predicate.local} on {subject.written} is not xsd:double")
-    return float(obj.lexical)
+    if not isinstance(obj, Literal) or obj.datatype != datatype:
+        raise ModelError(f"property {predicate.local} on {subject.written} is not "
+                         f"{datatype.written}")
+    return obj.lexical
 
 
 def triples_to_reading(store: TripleStore, rid: Iri) -> EnvironmentReading:
     """Inverse of reading_to_triples for the record named ``rid``."""
     if not store.match(TriplePattern(rid, Variable("p"), Variable("o"))):
         raise ModelError(f"environment record {rid.written} not found")
-    humidity = _required_double(store, rid, P_HUMIDITY)
-    temperature = _required_double(store, rid, P_TEMPERATURE)
-    illumination = _required_double(store, rid, P_ILLUMINATION)
-    date_obj = _single_object(store, rid, P_DATE)
-    if date_obj is None:
-        raise ModelError(f"missing property Date on {rid.written}")
-    if not isinstance(date_obj, Literal) or date_obj.datatype != XSD_DATE:
-        raise ModelError(f"property Date on {rid.written} is not xsd:date")
+    humidity = float(_required_literal(store, rid, P_HUMIDITY, XSD_DOUBLE))
+    temperature = float(_required_literal(store, rid, P_TEMPERATURE, XSD_DOUBLE))
+    illumination = float(_required_literal(store, rid, P_ILLUMINATION, XSD_DOUBLE))
+    date_text = _required_literal(store, rid, P_DATE, XSD_DATE)
     time_obj = _single_object(store, rid, P_HAS_TIME)
     if time_obj is None:
         raise ModelError(f"missing property hasTime on {rid.written}")
@@ -178,7 +176,7 @@ def triples_to_reading(store: TripleStore, rid: Iri) -> EnvironmentReading:
         humidity=humidity,
         temperature=temperature,
         illumination=illumination,
-        date=parse_date(date_obj.lexical),
+        date=parse_date(date_text),
         time=time,
         persons_present=persons,
     )

@@ -73,15 +73,12 @@ class Query:
         bound = set()
         for p in self.patterns:
             bound |= {v.name for v in p.variables()}
-        for v in self.projection:
-            if v.name not in bound:
-                raise QueryError(f"variable ?{v.name} projected but never bound")
-        for f in self.filters:
-            if f.variable.name not in bound:
-                raise QueryError(f"variable ?{f.variable.name} filtered but never bound")
-        for k in self.order_keys:
-            if k.variable.name not in bound:
-                raise QueryError(f"variable ?{k.variable.name} ordered but never bound")
+        for what, variables in (("projected", self.projection),
+                                ("filtered", [f.variable for f in self.filters]),
+                                ("ordered", [k.variable for k in self.order_keys])):
+            for v in variables:
+                if v.name not in bound:
+                    raise QueryError(f"variable ?{v.name} {what} but never bound")
 
 
 @dataclass

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 # Noise amplitudes, relative to each stream's base value, and the date of
-# every reading.  The amplitudes sit below the DEFAULT_FACTORS thresholds,
+# every reading.  The amplitudes sit below the default DedupConfig thresholds,
 # so noise alone never stores a reading and a replay stores exactly
 # streams + events readings.
 TEMPERATURE_NOISE = 0.04
@@ -69,9 +69,6 @@ def gen_trace(out_path, params: TraceParams) -> dict:
     for i, slot in enumerate(event_slots):
         event_slots[slot] = _EVENT_FACTORS[i % len(_EVENT_FACTORS)]
 
-    amps = {"temperature": TEMPERATURE_NOISE,
-            "humidity": HUMIDITY_NOISE,
-            "illumination": ILLUMINATION_NOISE}
     factor_index = {"temperature": 0, "humidity": 1, "illumination": 2}
     manifest_events = []
     lineno = 0
@@ -92,12 +89,10 @@ def gen_trace(out_path, params: TraceParams) -> dict:
                 if tick == 0 or event is not None:
                     temp, hum, illum = base
                 else:
-                    temp = base[0] * (1.0 + rng.uniform(-amps["temperature"],
-                                                        amps["temperature"]))
-                    hum = base[1] * (1.0 + rng.uniform(-amps["humidity"],
-                                                       amps["humidity"]))
-                    illum = base[2] * (1.0 + rng.uniform(-amps["illumination"],
-                                                         amps["illumination"]))
+                    temp = base[0] * (1.0 + rng.uniform(-TEMPERATURE_NOISE, TEMPERATURE_NOISE))
+                    hum = base[1] * (1.0 + rng.uniform(-HUMIDITY_NOISE, HUMIDITY_NOISE))
+                    illum = base[2] * (1.0 + rng.uniform(-ILLUMINATION_NOISE,
+                                                         ILLUMINATION_NOISE))
                 # full float precision: rounding would distort relative
                 # deltas once event shifts push a base value near zero
                 fh.write(json.dumps({

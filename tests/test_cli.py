@@ -5,7 +5,7 @@ import pytest
 
 from conftest import GHOST_MODEL, NON_ASCII_TIMES
 from homectx import cli, ingest, tracegen
-from homectx.dedup import DEFAULT_FACTORS
+from homectx.dedup import DedupConfig
 from homectx.cli import TraceParams, gen_trace, main
 from homectx.ingest import replay
 
@@ -20,6 +20,8 @@ QUERY = ("SELECT DISTINCT ?person ?what ?appliance ?status ?priority WHERE { "
 BAD_THRESHOLD_VALUES = [
     ('{"temperature": true}', 'threshold for temperature must be a number or "categorical"'),
     ('{"temperature": 1%s}' % ("0" * 400), "int too large to convert to float"),
+    ('{"temperature": " 5e-1 "}',
+     'threshold for temperature must be a number or "categorical"'),
 ]
 
 
@@ -114,13 +116,14 @@ class TestServe:
 
     @pytest.mark.parametrize("content, reason", [
         ("{not json", "Expecting property name"),
-        ('{"temperature": "x"}', "could not convert string to float"),
+        ('{"temperature": "x"}',
+         'threshold for temperature must be a number or "categorical"'),
         ('{"temperature": null}', 'threshold for temperature must be a number'),
         ('["temperature"]', "threshold file must hold a JSON object"),
         ('{"presence": 0.5}', 'threshold for presence must be "categorical"'),
         *BAD_THRESHOLD_VALUES,
     ], ids=["invalid-json", "bad-value", "null-value", "not-an-object", "numeric-presence",
-            "bool-value", "huge-int"])
+            "bool-value", "huge-int", "numeric-string"])
     def test_bad_thresholds_exit_1_with_one_line(self, tmp_path, capsys, monkeypatch,
                                                  content, reason):
         def no_bind(*args):
@@ -217,10 +220,10 @@ class TestGenTrace:
 
     def test_noise_below_thresholds(self):
         # noise alone must never store a reading, or stored != streams + events
-        thresholds = {f.name: f.threshold for f in DEFAULT_FACTORS}
-        assert 0 <= tracegen.TEMPERATURE_NOISE < thresholds["temperature"]
-        assert 0 <= tracegen.ILLUMINATION_NOISE < thresholds["illumination"]
-        assert 0 <= tracegen.HUMIDITY_NOISE < thresholds["humidity"]
+        cfg = DedupConfig()
+        assert 0 <= tracegen.TEMPERATURE_NOISE < cfg.temperature
+        assert 0 <= tracegen.ILLUMINATION_NOISE < cfg.illumination
+        assert 0 <= tracegen.HUMIDITY_NOISE < cfg.humidity
 
 
 class TestReplayCommand:
@@ -262,7 +265,7 @@ class TestReplayCommand:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("content, reason", BAD_THRESHOLD_VALUES,
-                             ids=["bool-value", "huge-int"])
+                             ids=["bool-value", "huge-int", "numeric-string"])
     def test_bad_threshold_value_exits_1_with_one_line(self, tmp_path, capsys, content,
                                                        reason):
         trace = tmp_path / "trace.jsonl"

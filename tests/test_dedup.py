@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from dataclasses import replace
@@ -7,9 +8,7 @@ import pytest
 
 from conftest import rand_reading
 from homectx.dedup import (
-    DEFAULT_FACTORS,
     DedupConfig,
-    FactorSpec,
     load_threshold_overrides,
     should_store,
 )
@@ -18,7 +17,6 @@ from homectx.ontology import EnvironmentReading, TimeOfDay
 from homectx.rdf import home
 
 CFG = DedupConfig()
-TEMP = FactorSpec("temperature", 0.1)
 
 
 def distance(prev, curr, cfg=CFG):
@@ -145,16 +143,15 @@ class TestShouldStore:
 
     def test_matches_brute_force_on_random_pairs(self):
         rng = random.Random(23)
-        thresholds = {f.name: f.threshold for f in DEFAULT_FACTORS}
         for _ in range(300):
             prev, curr = rand_reading(rng), rand_reading(rng)
             expect = (
                 abs(curr.temperature - prev.temperature)
-                / max(abs(prev.temperature), 1e-9) > thresholds["temperature"]
+                / max(abs(prev.temperature), 1e-9) > 0.1
                 or abs(curr.illumination - prev.illumination)
-                / max(abs(prev.illumination), 1e-9) > thresholds["illumination"]
+                / max(abs(prev.illumination), 1e-9) > 0.5
                 or abs(curr.humidity - prev.humidity)
-                / max(abs(prev.humidity), 1e-9) > thresholds["humidity"]
+                / max(abs(prev.humidity), 1e-9) > 0.35
                 or curr.persons_present != prev.persons_present
                 or curr.date != prev.date
             )
@@ -171,15 +168,17 @@ def reference_decision(prev, curr, cfg):
               "humidity": lambda r: r.humidity,
               "presence": lambda r: r.persons_present,
               "date": lambda r: r.date}
+    thresholds = {"temperature": cfg.temperature, "illumination": cfg.illumination,
+                  "humidity": cfg.humidity, "presence": None, "date": None}
     deltas = []
-    for spec in cfg.factors:
-        get = values[spec.name]
-        if spec.threshold is None:
+    for name in values:  # the factor order
+        get, threshold = values[name], thresholds[name]
+        if threshold is None:
             d = 0.0 if get(prev) == get(curr) else 1.0
         else:
-            d = abs(get(curr) - get(prev)) / max(abs(get(prev)), cfg.epsilon)
-        exceeded = d == 1.0 if spec.threshold is None else d > spec.threshold
-        deltas.append((spec.name, d, exceeded))
+            d = abs(get(curr) - get(prev)) / max(abs(get(prev)), 1e-9)
+        exceeded = d == 1.0 if threshold is None else d > threshold
+        deltas.append((name, d, exceeded))
     total = 0.0
     for _, d, _ in deltas:
         total += d ** 2
@@ -217,30 +216,25 @@ def oracle_pairs(rng, n):
 
 
 class TestOracle:
-    @pytest.mark.parametrize("which", ["default", "temperature-categorical",
-                                       "reordered", "humidity-presence",
-                                       "temperature-only", "epsilon-50",
-                                       "epsilon-inf"])
-    def test_should_store_matches_reference(self, which, tmp_path):
-        by_name = {f.name: f for f in DEFAULT_FACTORS}
+    @pytest.mark.parametrize("which, expect", [
+        ("default", DedupConfig()),
+        ('{"temperature": "categorical"}', DedupConfig(temperature=None)),
+        ('{"temperature": "categorical", "illumination": "categorical", '
+         '"humidity": "categorical", "presence": "categorical", "date": "categorical"}',
+         DedupConfig(None, None, None)),
+        ('{"temperature": 0, "illumination": 0, "humidity": 0}', DedupConfig(0.0, 0.0, 0.0)),
+        ('{"temperature": 0.02, "illumination": "categorical", "humidity": 1e300, '
+         '"date": "categorical"}', DedupConfig(0.02, None, 1e300)),
+    ], ids=["default", "temperature-categorical", "all-categorical", "zero-thresholds",
+            "mixed-file"])
+    def test_should_store_matches_reference(self, which, expect, tmp_path):
         if which == "default":
             cfg = CFG
-        elif which == "temperature-categorical":
-            path = tmp_path / "thresholds.json"
-            path.write_text('{"temperature": "categorical"}')
-            cfg = load_threshold_overrides(path)
-            assert cfg.factors[0].threshold is None
-        elif which == "reordered":
-            cfg = DedupConfig(factors=tuple(by_name[n] for n in (
-                "date", "humidity", "presence", "temperature", "illumination")))
-        elif which == "humidity-presence":
-            cfg = DedupConfig(factors=(by_name["humidity"], by_name["presence"]))
-        elif which == "temperature-only":
-            cfg = DedupConfig(factors=(TEMP,))
         else:
-            # zero-illumination baselines, and most temperatures, fall below
-            # epsilon 50; an infinite epsilon makes every numeric delta 0
-            cfg = DedupConfig(epsilon=50.0 if which == "epsilon-50" else math.inf)
+            path = tmp_path / "thresholds.json"
+            path.write_text(which)
+            cfg = load_threshold_overrides(path)
+        assert cfg == expect
         rng = random.Random(59)
         verdicts = set()
         for prev, curr in oracle_pairs(rng, 2000):
@@ -252,13 +246,6 @@ class TestOracle:
             assert [(d.name, d.d, d.exceeded) for d in decision.deltas] == deltas
             verdicts.add(store)
         assert verdicts == {True, False}
-
-    def test_equal_configs_share_one_comparator(self):
-        assert DedupConfig().comparator is CFG.comparator
-        assert DedupConfig(factors=list(DEFAULT_FACTORS)).comparator is CFG.comparator
-        assert DedupConfig(epsilon=1.0).comparator is not CFG.comparator
-        reordered = DedupConfig(factors=DEFAULT_FACTORS[::-1])
-        assert reordered.comparator is not CFG.comparator
 
 
 def admit(engine, stream, reading):
@@ -337,19 +324,22 @@ class TestFilterStream:
 
 
 class TestConfig:
-    def test_duplicate_factor_names_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
-            DedupConfig(factors=(TEMP, TEMP))
-
     def test_threshold_overrides_file(self, tmp_path):
         path = tmp_path / "thresholds.json"
-        path.write_text('{"temperature": 0.5, "humidity": 0.0, "date": "categorical"}')
+        path.write_text('{"temperature": 0.5, "humidity": 0, "date": "categorical"}')
         cfg = load_threshold_overrides(path)
-        by_name = {f.name: f for f in cfg.factors}
-        assert by_name["temperature"].threshold == 0.5
-        assert by_name["humidity"].threshold == 0.0
-        assert by_name["date"].threshold is None
-        assert by_name["presence"].threshold is None
+        assert cfg == DedupConfig(temperature=0.5, humidity=0.0)
+        assert type(cfg.humidity) is float
+
+    @pytest.mark.parametrize("threshold", [-0.5, math.inf, math.nan])
+    def test_negative_or_non_finite_threshold_rejected(self, tmp_path, threshold):
+        message = "threshold for illumination must be finite and >= 0"
+        with pytest.raises(ValueError, match=message):
+            DedupConfig(illumination=threshold)
+        path = tmp_path / "thresholds.json"
+        path.write_text(f'{{"illumination": {json.dumps(threshold)}}}')
+        with pytest.raises(ValueError, match=message):
+            load_threshold_overrides(path)
 
     @pytest.mark.parametrize("name, threshold", [("presence", 0.5), ("date", 0.0)])
     def test_numeric_threshold_for_categorical_factor_rejected(self, tmp_path, name,
@@ -357,8 +347,6 @@ class TestConfig:
         # a number there would compare a frozenset or date as a number in
         # every should_store with a baseline
         message = f'threshold for {name} must be "categorical"'
-        with pytest.raises(ValueError, match=message):
-            DedupConfig(factors=(TEMP, FactorSpec(name, threshold)))
         path = tmp_path / "thresholds.json"
         path.write_text(f'{{"{name}": {threshold}}}')
         with pytest.raises(ValueError, match=message):

@@ -88,9 +88,8 @@ REJECTIONS = pytest.mark.parametrize("fields, error", [
     ({"time": MISSING}, "'time'"),
     ({"humidity": MISSING}, "'humidity'"),
     ({"date": MISSING}, "'date'"),
-    ({"humidity": "abc"}, "could not convert string to float: 'abc'"),
-    ({"temperature": None},
-     "float() argument must be a string or a real number, not 'NoneType'"),
+    ({"humidity": "abc"}, "humidity must be a number"),
+    ({"temperature": None}, "temperature must be a number"),
     ({"humidity": 100.5}, "humidity out of range: 100.5"),
     ({"humidity": -1}, "humidity out of range: -1.0"),
     ({"illumination": -0.5}, "illumination must be >= 0: -0.5"),
@@ -126,6 +125,10 @@ REJECTIONS = pytest.mark.parametrize("fields, error", [
     ({"time": "18000\u00b2"}, "time label must be 6 digits, got '18000\u00b2'"),
     ({"time": 180000}, "time label must be 6 digits, got 180000"),
     ({"time": "_____200000"}, "time label must be 6 digits, got '_____200000'"),
+    ({"temperature": True}, "temperature must be a number"),
+    ({"humidity": "30"}, "humidity must be a number"),
+    ({"illumination": " 2e1 "}, "illumination must be a number"),
+    ({"illumination": "1", "temperature": False}, "temperature must be a number"),
 ], ids=["no-stream", "no-time", "no-humidity", "no-date", "non-numeric", "null-value",
         "humidity-high", "humidity-negative", "illumination-negative", "nan",
         "nan-illumination", "nan-humidity", "inf", "minus-inf", "inf-illumination",
@@ -134,7 +137,8 @@ REJECTIONS = pytest.mark.parametrize("fields, error", [
         "present-null", "date-number", "date-null", "date-basic-form", "date-week",
         "date-newline", "date-wide-digit", "stream-number", "stream-null", "stream-array",
         "time-fullwidth", "time-arabic-indic", "time-superscript", "time-number",
-        "time-underscores"])
+        "time-underscores", "number-bool", "number-string", "number-padded-string",
+        "numbers-in-field-order"])
 
 # Date strings and whether each is a valid date: an xsd:date literal and a
 # wire date must agree on every one.

@@ -123,6 +123,19 @@ class TestReadingTriples:
         with pytest.raises(ModelError, match="missing property Humidity"):
             triples_to_reading(TripleStore(triples), r.id)
 
+    @pytest.mark.parametrize("predicate, datatype", [
+        ("Humidity", "xsd:double"), ("Illumination", "xsd:double"), ("Date", "xsd:date"),
+    ])
+    def test_missing_or_mistyped_literal_property(self, predicate, datatype):
+        r = make_reading()
+        triples = [t for t in reading_to_triples(r) if t.predicate != home(predicate)]
+        with pytest.raises(ModelError, match=f"^missing property {predicate} on :_070411115500$"):
+            triples_to_reading(TripleStore(triples), r.id)
+        triples.append(Triple(r.id, home(predicate), Literal("30", xsd("string"))))
+        with pytest.raises(ModelError, match=f"^property {predicate} on :_070411115500 "
+                                             f"is not {datatype}$"):
+            triples_to_reading(TripleStore(triples), r.id)
+
     def test_humidity_range_enforced(self):
         with pytest.raises(ValueError, match="humidity"):
             EnvironmentReading(humidity=101, temperature=20, illumination=1,

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -81,6 +82,19 @@ class TestParseQuery:
     def test_projected_but_unbound(self):
         with pytest.raises(QueryError, match=r"\?x projected but never bound"):
             parse_query("SELECT ?x WHERE { ?s :a ?y . }")
+
+    @pytest.mark.parametrize("text, message", [
+        ("SELECT ?s WHERE { ?s :a ?y . filter(datatype(?z)=xsd:double) }",
+         "?z filtered but never bound"),
+        ("SELECT ?s WHERE { ?s :a ?y . } ORDER BY DESC(?z)", "?z ordered but never bound"),
+        ("SELECT ?x WHERE { ?s :a ?y . filter(datatype(?z)=xsd:double) } ORDER BY ?w",
+         "?x projected but never bound"),
+        ("SELECT ?s WHERE { ?s :a ?y . filter(datatype(?z)=xsd:double) } ORDER BY ?w",
+         "?z filtered but never bound"),
+    ])
+    def test_filtered_or_ordered_but_unbound(self, text, message):
+        with pytest.raises(QueryError, match=f"^variable {re.escape(message)}$"):
+            parse_query(text)
 
     def test_syntax_error_has_location(self):
         with pytest.raises(ParseError, match="line"):
