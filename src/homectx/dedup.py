@@ -55,7 +55,10 @@ def load_threshold_overrides(path) -> DedupConfig:
     """Build a config from a JSON file mapping factor name to threshold
     (a number) or the string "categorical"."""
     with open(path, encoding="utf-8") as fh:
-        overrides = json.load(fh)
+        try:
+            overrides = json.load(fh)
+        except RecursionError:  # bad JSON is a ValueError, deep nesting too
+            raise ValueError("threshold file nests too deeply") from None
     if not isinstance(overrides, dict):
         raise ValueError("threshold file must hold a JSON object")
     cfg = DedupConfig()

@@ -5,6 +5,8 @@ UTF-8.  Clients send ``hello``, ``reading`` and ``tick`` messages; the
 server answers every reading with an ``ack`` and pushes ``command`` lines
 whenever reasoning fires (on a tick, or on a stored reading whose presence
 set changed).  ``replay`` is the offline equivalent over a trace file.
+Both feed their lines to one ``Session``, which does no I/O: the server
+writes the replies back, and replay keeps the commands.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .sparql import Query, evaluate, parse_query, substitute
 
 
 # Longest accepted wire or trace line, in bytes, its newline included.  The
-# server reads at most one byte more, so a client cannot make it buffer an
-# endless line.
+# server and replay read at most one byte more, so neither a client nor a
+# trace can make them buffer an endless line.
 MAX_LINE_BYTES = 64 * 1024
 
 
@@ -84,26 +86,6 @@ def reason_at(store: TripleStore, t: TimeOfDay) -> list[dict]:
              "person": person.local, "activity": what.local, "priority": -key[0]}
             for appliance, (key, state, person, what)
             in sorted(best.items(), key=lambda item: item[0].written)]
-
-
-def decode_line(raw: bytes) -> dict | None:
-    """One wire or trace line to a message object; None for a blank line.
-
-    Raises ProtocolError unless the line is UTF-8 JSON holding an object
-    with a ``type``, at most MAX_LINE_BYTES long.
-    """
-    if len(raw) > MAX_LINE_BYTES:
-        raise ProtocolError("line too long")
-    try:
-        line = raw.decode("utf-8").strip()
-        if not line:
-            return None
-        msg = json.loads(line)
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
-        raise ProtocolError(f"bad line: {exc}") from None
-    if not isinstance(msg, dict) or "type" not in msg:
-        raise ProtocolError("message must be an object with a type")
-    return msg
 
 
 def parse_reading_payload(msg: dict) -> tuple[str, EnvironmentReading]:
@@ -234,6 +216,48 @@ class ContextEngine:
             return reason_at(self.store, time)
 
 
+class Session:
+    """The line protocol of one connection or one trace, with no I/O.
+
+    ``feed`` takes one line of bytes and returns the replies to it, in wire
+    order; a blank line has none.  A protocol violation raises ProtocolError,
+    and the caller decides what that ends: a line over MAX_LINE_BYTES, one
+    that is not UTF-8 JSON holding an object with a ``type``, a duplicate
+    hello or an unknown type.  A trace may not say hello, so replay builds
+    its session with ``hello=False``.
+    """
+
+    def __init__(self, engine: ContextEngine, hello: bool = True):
+        self.engine = engine
+        self._hello = hello
+        self._said_hello = False
+
+    def feed(self, raw: bytes) -> list[dict]:
+        if len(raw) > MAX_LINE_BYTES:
+            raise ProtocolError("line too long")
+        try:
+            line = raw.decode("utf-8").strip()
+            if not line:
+                return []
+            msg = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
+            raise ProtocolError(f"bad line: {exc}") from None
+        if not isinstance(msg, dict) or "type" not in msg:
+            raise ProtocolError("message must be an object with a type")
+        kind = msg["type"]
+        if kind == "reading":
+            ack, commands = self.engine.handle_reading(msg)
+            return [ack, *commands]
+        if kind == "tick":
+            return self.engine.handle_tick(msg)
+        if kind == "hello" and self._hello:
+            if self._said_hello:
+                raise ProtocolError("duplicate hello")
+            self._said_hello = True
+            return [{"type": "hello", "ok": True}]
+        raise ProtocolError(f"unknown message type {kind!r}")
+
+
 class _Handler(socketserver.StreamRequestHandler):
     # Every reply goes out at once: with Nagle's algorithm on, a reply waits
     # in the kernel until the client acknowledges the last one, and a client
@@ -241,27 +265,11 @@ class _Handler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True
 
     def handle(self):
-        engine: ContextEngine = self.server.engine
-        said_hello = False
+        session = Session(self.server.engine)
         try:
             while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
                 try:
-                    msg = decode_line(raw)
-                    if msg is None:
-                        continue
-                    kind = msg["type"]
-                    if kind == "hello":
-                        if said_hello:
-                            raise ProtocolError("duplicate hello")
-                        said_hello = True
-                        replies = [{"type": "hello", "ok": True}]
-                    elif kind == "reading":
-                        ack, commands = engine.handle_reading(msg)
-                        replies = [ack, *commands]
-                    elif kind == "tick":
-                        replies = engine.handle_tick(msg)
-                    else:
-                        raise ProtocolError(f"unknown message type {kind!r}")
+                    replies = session.feed(raw)
                 except ProtocolError as exc:
                     self._send([{"type": "error", "message": str(exc)}])
                     return  # terminate only this connection
@@ -282,14 +290,6 @@ class ContextServer(socketserver.ThreadingTCPServer):
     def __init__(self, address, engine: ContextEngine):
         super().__init__(address, _Handler)
         self.engine = engine
-
-
-def start_server(address, engine: ContextEngine) -> ContextServer:
-    """Bind and start serving on a background thread; caller shuts it down."""
-    server = ContextServer(address, engine)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server
 
 
 def serve(address, store: TripleStore, cfg: DedupConfig | None = None):
@@ -330,23 +330,18 @@ def replay(trace_path, cfg: DedupConfig | None = None,
     same command sequence, deterministic.  Raises ModelError before the
     first line when ``store``'s home model is invalid."""
     engine = ContextEngine(store, cfg)
+    session = Session(engine, hello=False)
     commands: list[dict] = []
+    lineno = 0
     with open(trace_path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        while raw := fh.readline(MAX_LINE_BYTES + 1):
+            lineno += 1
             try:
-                msg = decode_line(raw)
-                if msg is None:
-                    continue
-                kind = msg["type"]
-                if kind == "reading":
-                    ack, replies = engine.handle_reading(msg)
-                    if not ack["accepted"]:
-                        raise ProtocolError(ack["error"])
-                    commands.extend(replies)
-                elif kind == "tick":
-                    commands.extend(engine.handle_tick(msg))
-                else:
-                    raise ProtocolError(f"unknown trace entry {kind!r}")
+                for reply in session.feed(raw):
+                    if reply["type"] == "command":
+                        commands.append(reply)
+                    elif not reply["accepted"]:  # a rejected reading ends the replay
+                        raise ProtocolError(reply["error"])
             except ProtocolError as exc:
                 raise TraceError(f"line {lineno}: {exc}") from None
     return ReplayStats(engine.input_count, engine.stored_count, commands)

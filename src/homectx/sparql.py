@@ -323,11 +323,10 @@ def _id_rows(store: TripleStore, query: Query, extra) -> list[tuple]:
     return [project(r) for r in rows]
 
 
-def project_solutions(store: TripleStore, query: Query, extra=()) -> list[tuple]:
-    """Projected rows before DISTINCT and sorting, each followed by the terms
-    of the ``extra`` variables (the oracle tests pass none)."""
+def project_solutions(store: TripleStore, query: Query) -> list[tuple]:
+    """Projected rows before DISTINCT and sorting."""
     decode = store.terms.__getitem__
-    return [tuple(map(decode, r)) for r in _id_rows(store, query, extra)]
+    return [tuple(map(decode, r)) for r in _id_rows(store, query, ())]
 
 
 def _order_value(term):

@@ -1,12 +1,21 @@
 import random
+import threading
 from datetime import date
 
 import pytest
 
 from homectx import cli, rdf
+from homectx.ingest import ContextEngine, ContextServer
 from homectx.ontology import EnvironmentReading, TimeOfDay
 from homectx.rdf import Iri, Literal, Triple, TriplePattern, TripleStore, Variable, home, xsd
 from homectx.sparql import FilterExpr, OrderKey, Query
+
+
+def start_server(address, engine: ContextEngine) -> ContextServer:
+    """Bind and start serving on a background thread; the caller shuts it down."""
+    server = ContextServer(address, engine)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server
 
 
 @pytest.fixture(scope="session")

@@ -13,11 +13,11 @@ from datetime import date
 
 import pytest
 
-from conftest import brute_force_rows, rand_query, rand_reading, rand_store
+from conftest import brute_force_rows, rand_query, rand_reading, rand_store, start_server
 from homectx import cli, rdf
 from homectx.cli import TraceParams, gen_trace
 from homectx.dedup import DedupConfig, should_store
-from homectx.ingest import ContextEngine, replay, start_server
+from homectx.ingest import ContextEngine, replay
 from homectx.ontology import (
     EnvironmentReading,
     TimeOfDay,

@@ -23,6 +23,8 @@ BAD_THRESHOLD_VALUES = [
     ('{"temperature": " 5e-1 "}',
      'threshold for temperature must be a number or "categorical"'),
 ]
+# A threshold file nested deeper than the JSON decoder can follow.
+DEEP_THRESHOLDS = ("[" * 100000, "threshold file nests too deeply")
 
 
 def fixture_args():
@@ -121,9 +123,9 @@ class TestServe:
         ('{"temperature": null}', 'threshold for temperature must be a number'),
         ('["temperature"]', "threshold file must hold a JSON object"),
         ('{"presence": 0.5}', 'threshold for presence must be "categorical"'),
-        *BAD_THRESHOLD_VALUES,
+        *BAD_THRESHOLD_VALUES, DEEP_THRESHOLDS,
     ], ids=["invalid-json", "bad-value", "null-value", "not-an-object", "numeric-presence",
-            "bool-value", "huge-int", "numeric-string"])
+            "bool-value", "huge-int", "numeric-string", "deep-nesting"])
     def test_bad_thresholds_exit_1_with_one_line(self, tmp_path, capsys, monkeypatch,
                                                  content, reason):
         def no_bind(*args):
@@ -264,8 +266,9 @@ class TestReplayCommand:
         assert captured.err.startswith("replay error: threshold for ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("content, reason", BAD_THRESHOLD_VALUES,
-                             ids=["bool-value", "huge-int", "numeric-string"])
+    @pytest.mark.parametrize("content, reason", [*BAD_THRESHOLD_VALUES, DEEP_THRESHOLDS],
+                             ids=["bool-value", "huge-int", "numeric-string",
+                                  "deep-nesting"])
     def test_bad_threshold_value_exits_1_with_one_line(self, tmp_path, capsys, content,
                                                        reason):
         trace = tmp_path / "trace.jsonl"

@@ -6,6 +6,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from datetime import date, timedelta
 from types import SimpleNamespace
@@ -22,6 +23,7 @@ from conftest import (
     brute_force_rows,
     home_text,
     rand_reading,
+    start_server,
 )
 from homectx import ingest, rdf
 from homectx.dedup import DedupConfig
@@ -29,11 +31,11 @@ from homectx.ingest import (
     MAX_LINE_BYTES,
     ContextEngine,
     ProtocolError,
+    Session,
     TraceError,
     preference_query,
     reason_at,
     replay,
-    start_server,
 )
 from homectx.ontology import ModelError, TimeOfDay
 from homectx.rdf import TripleStore, home, term_key
@@ -905,6 +907,42 @@ class TestProtocolFuzz:
             srv.server_close()
 
 
+# What replay says to a hello line: the one verdict a trace gives on
+# purpose that a connection does not, since a trace may not say hello.
+TRACE_HELLO_ERROR = "unknown message type 'hello'"
+
+
+class TestSameVerdict:
+    def test_server_session_and_replay_agree_on_any_line(self, fixture_text, tmp_path):
+        path = tmp_path / "trace.jsonl"
+
+        @given(_LINES)
+        @settings(max_examples=200, deadline=None)
+        def one_line(line):
+            engine = ContextEngine(TripleStore(rdf.parse_data(fixture_text)))
+            try:
+                replies = Session(engine).feed(line)
+            except ProtocolError as exc:
+                replies, error = [], str(exc)
+            else:
+                error = next((r["error"] for r in replies if r.get("accepted") is False),
+                             None)
+            if replies == [{"type": "hello", "ok": True}]:
+                error = TRACE_HELLO_ERROR
+            path.write_bytes(line)
+            replay_store = TripleStore(rdf.parse_data(fixture_text))
+            try:
+                stats = replay(path, store=replay_store)
+            except TraceError as exc:
+                assert str(exc) == f"line 1: {error}"
+            else:
+                assert error is None
+                assert stats.commands == [r for r in replies if r["type"] == "command"]
+                assert set(replay_store) == set(engine.store)
+
+        one_line()
+
+
 class TestReplay:
     def write_trace(self, tmp_path, lines):
         path = tmp_path / "trace.jsonl"
@@ -944,6 +982,22 @@ class TestReplay:
                          + b" " * MAX_LINE_BYTES + b"\n")
         with pytest.raises(TraceError, match="line 2: line too long"):
             replay(path)
+
+    def test_overlong_line_read_no_further_than_limit(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(reading_msg()).encode() + b"\n")
+            for _ in range(32):  # a 32 MiB second line
+                fh.write(b" " * (1 << 20))
+            fh.write(b"\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(TraceError, match="^line 2: line too long$"):
+                replay(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @HUGE_JUMPS
     def test_huge_relative_jump_counts(self, tmp_path, before, after):
