@@ -25,10 +25,7 @@ def fixture_path() -> Path:
 def _load_store(paths) -> rdf.TripleStore:
     store = rdf.TripleStore()
     for path in paths:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise rdf.ParseError(f"cannot read {path}: {exc.strerror}", 0, 0)
+        text = Path(path).read_text(encoding="utf-8")
         try:
             for triple in rdf.parse_data(text):
                 store.insert(triple)

@@ -33,7 +33,6 @@ class DedupDecision(NamedTuple):
     store: bool
     distance: float
     deltas: tuple
-    reference: object  # id of the baseline reading, None if first
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,7 +101,7 @@ def should_store(baseline: Optional[EnvironmentReading], curr: EnvironmentReadin
     is always finite (valid JSON).
     """
     if baseline is None:
-        return DedupDecision(True, 0.0, (), None)
+        return DedupDecision(True, 0.0, ())
     p, c, threshold = baseline.temperature, curr.temperature, cfg.temperature
     if threshold is None:
         e0 = c != p
@@ -139,5 +138,4 @@ def should_store(baseline: Optional[EnvironmentReading], curr: EnvironmentReadin
         (_new(FactorDelta, ("temperature", d0, e0)),
          _new(FactorDelta, ("illumination", d1, e1)),
          _new(FactorDelta, ("humidity", d2, e2)),
-         _NEW_PRESENCE if e3 else _SAME_PRESENCE, _NEW_DATE if e4 else _SAME_DATE),
-        baseline.id))
+         _NEW_PRESENCE if e3 else _SAME_PRESENCE, _NEW_DATE if e4 else _SAME_DATE)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date as Date
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import inf
 
 from .rdf import (Iri, Literal, Triple, TriplePattern, TripleStore, Variable, home,
@@ -104,11 +104,9 @@ class EnvironmentReading:
                              illumination=illumination, date=date, time=time,
                              persons_present=persons_present)
 
-    @cached_property
+    @property
     def id(self) -> Iri:
-        """Built on first use and kept, since dedup names the same baseline
-        for every reading compared against it; not a field, so equality and
-        hashing ignore it."""
+        """Not a field, so equality and hashing ignore it."""
         stamp = f"{self.date.year % 100:02d}{self.date.month:02d}{self.date.day:02d}"
         return home(f"_{stamp}{self.time.label}")
 

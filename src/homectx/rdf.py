@@ -205,18 +205,19 @@ _EMPTY: frozenset = frozenset()
 # The positions (0 subject, 1 predicate, 2 object) whose ids key the index a
 # pattern is looked up in, by which positions the pattern knows.  Every key
 # holds the known subject and predicate; a known object outside the key is
-# checked against each candidate.
+# checked against each candidate.  No workload probes by the object alone,
+# so such a pattern scans the whole store.
 _KEY_POSITIONS = {
     (True, True, True): (0, 1), (True, True, False): (0, 1),
     (True, False, True): (0,), (True, False, False): (0,),
     (False, True, True): (1, 2), (False, True, False): (1,),
-    (False, False, True): (2,), (False, False, False): (),
+    (False, False, True): (), (False, False, False): (),
 }
 
 
 class TripleStore:
-    """Set of triples, dictionary-encoded, with (S), (P), (O), (S,P) and
-    (P,O) lookup indexes.
+    """Set of triples, dictionary-encoded, with (S), (P), (S,P) and (P,O)
+    lookup indexes.
 
     Each term is interned to an int id once, when ``insert`` first sees it:
     ``terms[i]`` is the term with id ``i`` and ``term_keys[i]`` its
@@ -238,12 +239,10 @@ class TripleStore:
         self._spo: set[tuple[int, int, int]] = set()
         self._by_s: dict = {}
         self._by_p: dict = {}
-        self._by_o: dict = {}
         self._by_sp: dict = {}
         self._by_po: dict = {}
-        self._indexes = {(0,): self._by_s, (1,): self._by_p, (2,): self._by_o,
-                         (0, 1): self._by_sp, (1, 2): self._by_po,
-                         (): {(): self._spo}}
+        self._indexes = {(0,): self._by_s, (1,): self._by_p, (0, 1): self._by_sp,
+                         (1, 2): self._by_po, (): {(): self._spo}}
         if triples:
             for t in triples:
                 self.insert(t)
@@ -277,7 +276,6 @@ class TripleStore:
         self._spo.add(spo)
         self._by_s.setdefault((s,), set()).add(spo)
         self._by_p.setdefault((p,), set()).add(spo)
-        self._by_o.setdefault((o,), set()).add(spo)
         self._by_sp.setdefault((s, p), set()).add(spo)
         self._by_po.setdefault((p, o), set()).add(spo)
         return True
@@ -464,16 +462,12 @@ def parse_data(text: str) -> list[Triple]:
             lexer.skip_ws()
             lexer.expect(".")
             continue
-        start = lexer.pos
         s = _parse_term(lexer, prefixes, allow_literal=False)
         p = _parse_term(lexer, prefixes, allow_literal=False)
         o = _parse_term(lexer, prefixes, allow_literal=True)
         lexer.skip_ws()
         lexer.expect(".")
-        try:
-            triples.append(Triple(s, p, o))
-        except ValueError as exc:
-            raise lexer.error(str(exc), start) from None
+        triples.append(Triple(s, p, o))
     return triples
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Optional
 
 from .rdf import (
     BUILTIN_PREFIXES,
@@ -28,6 +27,7 @@ from .rdf import (
     Variable,
     _Lexer,
     _EMPTY,
+    _parse_term,
     _resolve,
     term_key,
     xsd,
@@ -38,7 +38,8 @@ _UNSUPPORTED = (
     "OFFSET", "GROUP", "HAVING", "CONSTRUCT", "ASK", "DESCRIBE", "SERVICE",
 )
 
-_NUMERIC_DATATYPES = (xsd("double"), xsd("positiveInteger"))
+# How ORDER BY reads a numeric literal's value: an integer exactly, as an int.
+_NUMERIC = {xsd("double"): float, xsd("positiveInteger"): int}
 
 
 class QueryError(ValueError):
@@ -125,7 +126,6 @@ def _parse_pattern_term(lexer: _QueryLexer, allow_literal: bool):
     lexer.skip_ws()
     if lexer.peek() == "?":
         return lexer.read_variable()
-    from .rdf import _parse_term
     return _parse_term(lexer, BUILTIN_PREFIXES, allow_literal)
 
 
@@ -179,16 +179,12 @@ def parse_query(text: str) -> Query:
             lexer.take(".")  # trailing dot after a filter is optional
             filters.append(FilterExpr(var, dt))
             continue
-        start = lexer.pos
         s = _parse_pattern_term(lexer, allow_literal=False)
         p = _parse_pattern_term(lexer, allow_literal=False)
         o = _parse_pattern_term(lexer, allow_literal=True)
         lexer.skip_ws()
         lexer.expect(".")
-        try:
-            patterns.append(TriplePattern(s, p, o))
-        except ValueError as exc:
-            raise lexer.error(str(exc), start) from None
+        patterns.append(TriplePattern(s, p, o))
 
     order_keys: list[OrderKey] = []
     if lexer.take_keyword("ORDER"):
@@ -224,17 +220,13 @@ def parse_query(text: str) -> Query:
 
 # --- evaluation --------------------------------------------------------------
 
-def substitute(pattern: TriplePattern, binding: dict) -> Optional[TriplePattern]:
-    """Plug bound variables into the pattern; None when a literal lands in a
-    subject or predicate slot (such a binding can match nothing)."""
+def substitute(pattern: TriplePattern, binding: dict) -> TriplePattern:
+    """Plug bound variables into the pattern."""
     def sub(t):
         if isinstance(t, Variable):
             return binding.get(t.name, t)
         return t
-    s, p, o = sub(pattern.subject), sub(pattern.predicate), sub(pattern.object)
-    if isinstance(s, Literal) or isinstance(p, Literal):
-        return None
-    return TriplePattern(s, p, o)
+    return TriplePattern(sub(pattern.subject), sub(pattern.predicate), sub(pattern.object))
 
 
 def _plan(store: TripleStore, patterns: list) -> list:
@@ -312,28 +304,11 @@ def _solutions(store: TripleStore, patterns: list) -> tuple[dict, list[tuple]]:
     return slots, rows
 
 
-def _id_rows(store: TripleStore, query: Query, extra) -> list[tuple]:
-    """Filtered solutions projected onto the query's projection and then the
-    ``extra`` variables, as id tuples."""
-    slots, rows = _solutions(store, query.patterns)
-    for f in query.filters:
-        ids, slot = store.literal_ids(f.datatype), slots[f.variable]
-        rows = [r for r in rows if r[slot] in ids]
-    project = _tuple_getter([slots[v] for v in (*query.projection, *extra)])
-    return [project(r) for r in rows]
-
-
-def project_solutions(store: TripleStore, query: Query) -> list[tuple]:
-    """Projected rows before DISTINCT and sorting."""
-    decode = store.terms.__getitem__
-    return [tuple(map(decode, r)) for r in _id_rows(store, query, ())]
-
-
 def _order_value(term):
     """Sort key of the canonical term order: numerics first, by value, then
-    everything else by term_key."""
-    if isinstance(term, Literal) and term.datatype in _NUMERIC_DATATYPES:
-        return (0, float(term.lexical))
+    everything else by term_key.  Python compares an int and a float exactly."""
+    if isinstance(term, Literal) and term.datatype in _NUMERIC:
+        return (0, _NUMERIC[term.datatype](term.lexical))
     return (1, term_key(term))
 
 
@@ -344,8 +319,14 @@ def evaluate(store: TripleStore, query: Query) -> ResultTable:
     Each row carries the ids of its ORDER BY keys, projected or not, out of
     the one join.  Ties on every key fall back to the row's own terms.
     """
+    slots, rows = _solutions(store, query.patterns)
+    for f in query.filters:
+        ids, slot = store.literal_ids(f.datatype), slots[f.variable]
+        rows = [r for r in rows if r[slot] in ids]
+    columns = [*query.projection, *(k.variable for k in query.order_keys)]
+    project = _tuple_getter([slots[v] for v in columns])
+    rows = [project(r) for r in rows]
     width = len(query.projection)
-    rows = _id_rows(store, query, [k.variable for k in query.order_keys])
     if query.distinct:
         rows = list(dict.fromkeys(rows))  # exact (row, keys) duplicates
     # each id's rank in the canonical term order, among the ids in the rows

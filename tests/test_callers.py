@@ -1,13 +1,14 @@
-"""Nothing in the package exists only for the tests to call.
+"""Nothing in the package exists only for the tests to call or read.
 
 Every top-level function and class in ``src/homectx``, and every method,
 must be referenced from another definition in ``src/``, or be an entry
 point: ``cli.main`` and each name the benchmark under ``bench/`` reads or
 patches.  A dunder is called by the language, and a method that overrides
-one its class inherits is called by the base class.  References are
-matched by name, not by binding, so a name shared with an unrelated
-attribute counts as used: the check finds code nothing calls, not every
-misuse.
+one its class inherits is called by the base class.  Every field of a
+dataclass or NamedTuple must be read as an attribute in ``src/`` or
+``bench/``.  References are matched by name, not by binding, so a name
+shared with an unrelated attribute counts as used: the check finds code
+nothing calls, not every misuse.
 """
 
 import ast
@@ -21,12 +22,16 @@ BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 # Kept without a caller in src/, each for its reason.
 EXCEPTIONS = {
-    # Acceptance criterion 5 checks the join's rows, before DISTINCT, against
-    # the brute-force oracle through it.
-    ("sparql", "project_solutions"),
     # Acceptance criterion 6 round-trips readings through it; restoring each
     # stream's context from the store after a restart is to call it.
     ("ontology", "triples_to_reading"),
+}
+
+# Fields kept though nothing in src/ or bench/ reads them, each for its reason.
+FIELD_EXCEPTIONS = {
+    # should_store's per-factor delta, part of its documented result: a
+    # caller cannot recompute it from the arguments it passed.
+    ("dedup", "FactorDelta.d"),
 }
 
 
@@ -113,3 +118,55 @@ def test_guard_sees_a_definition_only_tests_call(tmp_path, monkeypatch):
         "sample_callers.recursive", "sample_callers.unused", "sample_callers.Box.spare"]
     assert unreferenced([path], {("sample_callers", "unused")}, package="") == [
         "sample_callers.recursive", "sample_callers.Box.spare"]
+
+
+def is_record(node: ast.ClassDef) -> bool:
+    """Whether a class is a dataclass or a NamedTuple."""
+    marks = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any((getattr(n, "id", None) or getattr(n, "attr", None))
+               in ("dataclass", "NamedTuple") for n in marks + node.bases)
+
+
+def unread_fields(paths, readers, kept) -> list:
+    """``module.Class.field`` of each field of a record class in ``paths``
+    that no code in ``readers`` reads as an attribute and that is not in
+    ``kept``."""
+    read = {n.attr for path in readers
+            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    found = []
+    for path in paths:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not (isinstance(node, ast.ClassDef) and is_record(node)):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    qualname = f"{node.name}.{item.target.id}"
+                    if (path.stem, qualname) not in kept and item.target.id not in read:
+                        found.append(f"{path.stem}.{qualname}")
+    return found
+
+
+def test_every_field_is_read_in_src_or_bench():
+    assert unread_fields(SOURCES, SOURCES + BENCH, FIELD_EXCEPTIONS) == []
+
+
+def test_every_field_exception_is_still_needed():
+    assert sorted(unread_fields(SOURCES, SOURCES + BENCH, set())) == sorted(
+        f"{module}.{name}" for module, name in FIELD_EXCEPTIONS)
+
+
+def test_guard_sees_a_field_only_tests_read(tmp_path):
+    path = tmp_path / "sample_fields.py"
+    path.write_text("import dataclasses\nfrom typing import NamedTuple\n\n"
+                    "@dataclasses.dataclass(frozen=True)\n"
+                    "class Point:\n    x: int\n    y: int\n    label: str = ''\n\n"
+                    "class Pair(NamedTuple):\n    left: int\n    right: int\n\n"
+                    "class Plain:\n    note: str\n\n"
+                    "def use(point, pair, plain):\n"
+                    "    point.label = plain.note = 'written, not read'\n"
+                    "    return point.x + pair.left\n")
+    assert unread_fields([path], [path], set()) == [
+        "sample_fields.Point.y", "sample_fields.Point.label", "sample_fields.Pair.right"]
+    assert unread_fields([path], [path], {("sample_fields", "Pair.right")}) == [
+        "sample_fields.Point.y", "sample_fields.Point.label"]

@@ -173,6 +173,15 @@ class TestLoad:
 
     def test_missing_file(self, capsys):
         assert main(["load", "--data", "/nonexistent.ttl"]) == 1
+        assert capsys.readouterr().err == (
+            "load error: [Errno 2] No such file or directory: '/nonexistent.ttl'\n")
+
+    def test_parse_error_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.ttl"
+        path.write_text(":a :b :c .\n:a :b .\n")
+        assert main(["load", *fixture_args(), "--data", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"parse error: {path}: expected prefixed name (line 2, column 7)\n")
 
     @pytest.mark.parametrize("flag", [["--output", "tsv"], ["--thresholds", "t.json"]])
     def test_flags_of_other_commands_are_usage_errors(self, flag):
@@ -212,6 +221,28 @@ class TestGenTrace:
         gen_trace(out, params)
         stats = replay(out)
         assert stats.stored_count == params.streams + params.events
+
+    def test_command_writes_trace_and_summary(self, tmp_path, capsys):
+        out = tmp_path / "t.jsonl"
+        assert main(["gen-trace", "--out", str(out), "--streams", "2", "--duration", "5",
+                     "--events", "1", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == f"wrote 10 lines, 1 events to {out}\n"
+        assert len(out.read_text().splitlines()) == 10
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--streams", "0"], "streams, duration and rate must be >= 1"),
+        (["--duration", "0"], "streams, duration and rate must be >= 1"),
+        (["--rate", "0"], "streams, duration and rate must be >= 1"),
+        (["--events", "-1"], "events must be >= 0"),
+        (["--duration", "86401"], "duration is capped at one day"),
+        (["--streams", "1", "--duration", "3", "--events", "3"],
+         "more events than available trace positions"),
+    ], ids=["streams", "duration", "rate", "events", "day-cap", "too-many-events"])
+    def test_bad_params_exit_1_with_one_line(self, tmp_path, capsys, flags, error):
+        out = tmp_path / "t.jsonl"
+        assert main(["gen-trace", "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"gen-trace error: {error}\n"
+        assert not out.exists()
 
     def test_missing_out_directory_exits_1_with_one_line(self, tmp_path, capsys):
         out = tmp_path / "missing" / "t.jsonl"

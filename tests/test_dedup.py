@@ -108,13 +108,11 @@ class TestDistance:
 class TestShouldStore:
     def test_no_baseline_stores(self):
         decision = should_store(None, reading(), CFG)
-        assert decision.store is True
-        assert decision.reference is None
+        assert decision == (True, 0.0, ())
 
     def test_sub_threshold_drop(self):
         decision = should_store(reading(temp=20), reading(temp=21), CFG)
         assert decision.store is False
-        assert decision.reference == reading().id
 
     def test_supra_threshold_store(self):
         assert should_store(reading(temp=20), reading(temp=23), CFG).store is True
@@ -162,7 +160,7 @@ def reference_decision(prev, curr, cfg):
     """The straightforward dedup loop, kept as the referee for should_store:
     the delta formula per factor, the categorical-or-threshold rule, then the
     root of the squares summed in factor order.  Returns (store, distance,
-    reference, deltas as (name, d, exceeded))."""
+    deltas as (name, d, exceeded))."""
     values = {"temperature": lambda r: r.temperature,
               "illumination": lambda r: r.illumination,
               "humidity": lambda r: r.humidity,
@@ -182,8 +180,7 @@ def reference_decision(prev, curr, cfg):
     total = 0.0
     for _, d, _ in deltas:
         total += d ** 2
-    reference = home(f"_{prev.date:%y%m%d}{prev.time.label}")
-    return any(e for _, _, e in deltas), math.sqrt(total), reference, deltas
+    return any(e for _, _, e in deltas), math.sqrt(total), deltas
 
 
 def oracle_pairs(rng, n):
@@ -238,11 +235,10 @@ class TestOracle:
         rng = random.Random(59)
         verdicts = set()
         for prev, curr in oracle_pairs(rng, 2000):
-            store, dist, reference, deltas = reference_decision(prev, curr, cfg)
+            store, dist, deltas = reference_decision(prev, curr, cfg)
             decision = should_store(prev, curr, cfg)
             assert decision.store == store
             assert decision.distance == dist
-            assert decision.reference == reference
             assert [(d.name, d.d, d.exceeded) for d in decision.deltas] == deltas
             verdicts.add(store)
         assert verdicts == {True, False}

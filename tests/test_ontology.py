@@ -93,7 +93,7 @@ class TestReadingTriples:
 
     def test_cached_id_leaves_equality_and_hash(self):
         read = make_reading()
-        assert read.id == home("_070411115500")  # now cached on ``read``
+        assert read.id == home("_070411115500")
         fresh = make_reading()
         assert read == fresh and hash(read) == hash(fresh)
         assert len({read, fresh}) == 1
@@ -135,6 +135,21 @@ class TestReadingTriples:
         with pytest.raises(ModelError, match=f"^property {predicate} on :_070411115500 "
                                              f"is not {datatype}$"):
             triples_to_reading(TripleStore(triples), r.id)
+
+    @pytest.mark.parametrize("time, message", [
+        (None, "missing property hasTime on :_070411115500"),
+        (Literal("115500", xsd("string")), "hasTime on :_070411115500 must name a time resource"),
+        (home("_1155"), "time label must be 6 digits, got '_1155'"),
+        (home("_255500"), "invalid time of day 25:55:0"),
+    ], ids=["missing", "literal", "short-label", "out-of-range"])
+    def test_bad_time(self, time, message):
+        r = make_reading()
+        triples = [t for t in reading_to_triples(r) if t.predicate != home("hasTime")]
+        if time is not None:
+            triples.append(Triple(r.id, home("hasTime"), time))
+        with pytest.raises(ModelError) as exc:
+            triples_to_reading(TripleStore(triples), r.id)
+        assert str(exc.value) == message
 
     def test_humidity_range_enforced(self):
         with pytest.raises(ValueError, match="humidity"):

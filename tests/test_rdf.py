@@ -187,6 +187,21 @@ class TestParser:
             rdf.parse_data(text)
         assert (exc.value.line, exc.value.column) == (line, column)
 
+    @pytest.mark.parametrize("text, message, line, column", [
+        (':a :b "abc .', "unterminated string literal", 1, 13),
+        (':a :b "a\\qb"^^xsd:string .', "unknown escape \\q", 1, 10),
+        ("@prefix ex: <http://x# .", "unterminated IRI reference", 1, 14),
+        (":a : :c .", "prefixed name is missing its local part", 1, 5),
+        ('"x"^^xsd:string :b :c .', "literal not allowed here", 1, 1),
+        (':a :b :c .\n:a "x"^^xsd:string :c .', "literal not allowed here", 2, 4),
+        ("@prefix ex:a <http://x#> .", "prefix declaration must end with ':'", 1, 13),
+    ], ids=["unterminated-string", "unknown-escape", "unterminated-iri",
+            "missing-local", "literal-subject", "literal-predicate", "prefix-with-local"])
+    def test_error_message_and_position(self, text, message, line, column):
+        with pytest.raises(ParseError) as exc:
+            rdf.parse_data(text)
+        assert (exc.value.message, exc.value.line, exc.value.column) == (message, line, column)
+
     def test_unsupported_datatype_is_parse_error(self):
         with pytest.raises(ParseError, match="unsupported"):
             rdf.parse_data(':a :b "1"^^xsd:integer .')

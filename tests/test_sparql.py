@@ -28,7 +28,6 @@ from homectx.sparql import (
     evaluate,
     format_results,
     parse_query,
-    project_solutions,
 )
 
 APPLIANCE_QUERY = """
@@ -102,6 +101,29 @@ class TestParseQuery:
         with pytest.raises(ParseError, match=r"expected '\.' \(line 3, column 31\)"):
             parse_query('SELECT ?s\n# why\nWHERE { ?s :p "1"^^xsd:double :x . }')
 
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("FIND ?s WHERE { ?s :a ?o . }", "expected SELECT", 1, 1),
+        ("SELECT ?s { ?s :a ?o . }", "expected WHERE", 1, 11),
+        ("SELECT ?s WHERE { ?s :a ?o . filter(datatype(o)=xsd:double) }",
+         "expected variable", 1, 46),
+        ("SELECT ?s WHERE { ?s :a ?o . filter(bound(?o)) }",
+         "only datatype(...) filters are supported", 1, 37),
+        ("SELECT ?s WHERE { ?s :a ?o . } ORDER ?o", "expected BY after ORDER", 1, 38),
+        ("SELECT ?s WHERE { ?s :a ?o . } ORDER BY", "ORDER BY needs at least one key", 1, 40),
+        ("SELECT ?s WHERE {\n  ?s :a ?o .\n} ORDER BY ASC(o)", "expected variable", 3, 16),
+        ("SELECT ?s WHERE { ?s :a ?o . } }", "unexpected trailing input", 1, 32),
+        ('SELECT ?s WHERE { ?s "x"^^xsd:string ?o . }', "literal not allowed here", 1, 22),
+    ], ids=["select", "where", "filter-variable", "filter-function", "order-by",
+            "order-key", "asc-variable", "trailing", "literal-predicate"])
+    def test_error_message_and_position(self, text, message, line, column):
+        with pytest.raises(ParseError) as exc:
+            parse_query(text)
+        assert (exc.value.message, exc.value.line, exc.value.column) == (message, line, column)
+
+    def test_empty_projection(self):
+        with pytest.raises(QueryError, match="^projection must not be empty$"):
+            parse_query("SELECT WHERE { ?s :a ?o . }")
+
     def test_pattern_order_preserved(self):
         q = parse_query("SELECT ?a ?b WHERE { ?a :p1 ?b. ?b :p2 ?a. }")
         assert q.patterns[0].predicate == home("p1")
@@ -155,7 +177,8 @@ class TestEvaluate:
             store = rand_store(rng, 50)
             query = rand_query(rng)
             expected = brute_force_rows(list(store), query)
-            assert Counter(project_solutions(store, query)) == Counter(expected)
+            solutions = evaluate(store, replace(query, distinct=False)).rows
+            assert Counter(solutions) == Counter(expected)
             got = evaluate(store, query)
             if query.distinct:
                 assert set(got.rows) == set(expected)
@@ -177,13 +200,30 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("query, expected", [
         ("SELECT ?s WHERE { ?s :p ?o. } ORDER BY ?o", ["s1", "s2", "s1"]),
+        ("SELECT ?s WHERE { ?s :p ?o. } ORDER BY ASC(?o)", ["s1", "s2", "s1"]),
         ("SELECT ?s WHERE { ?s :p ?o. } ORDER BY DESC(?o)", ["s1", "s2", "s1"]),
         ("SELECT DISTINCT ?s WHERE { ?s :p ?o. } ORDER BY DESC(?o)", ["s1", "s2"]),
-    ], ids=["asc", "desc", "distinct-desc"])
+    ], ids=["asc", "asc-keyword", "desc", "distinct-desc"])
     def test_order_by_unprojected_key(self, query, expected):
         store = TripleStore([Triple(home(s), home("p"), Literal(o, xsd("positiveInteger")))
                              for s, o in (("s1", "1"), ("s1", "3"), ("s2", "2"))])
         rows = evaluate(store, parse_query(query)).rows
+        assert [s.local for (s,) in rows] == expected
+
+    @pytest.mark.parametrize("order, expected", [
+        ("?v", ["e", "b", "a", "c", "d"]), ("DESC(?v)", ["d", "c", "a", "b", "e"]),
+    ], ids=["asc", "desc"])
+    def test_order_by_compares_integers_exactly(self, order, expected):
+        # a and b (2**53 + 1, 2**53) are one float, and so are c and d
+        # (2**54, 2**54 + 1); a tie would keep each pair in term order
+        store = TripleStore(parse_data(
+            ':a :p "9007199254740993"^^xsd:positiveInteger .\n'
+            ':b :p "9007199254740992"^^xsd:positiveInteger .\n'
+            ':c :p "18014398509481984"^^xsd:positiveInteger .\n'
+            ':d :p "18014398509481985"^^xsd:positiveInteger .\n'
+            ':e :p "1.5"^^xsd:double .'))
+        query = parse_query(f"SELECT ?s WHERE {{ ?s :p ?v . }} ORDER BY {order}")
+        rows = evaluate(store, query).rows
         assert [s.local for (s,) in rows] == expected
 
     def test_evaluation_deterministic(self, fixture_store):
@@ -208,7 +248,8 @@ class TestPlanner:
         query = paper_query(slot)
         expected = brute_force_rows(list(small_home), query)
         assert expected  # four present persons, all active at the slot
-        assert Counter(project_solutions(small_home, query)) == Counter(expected)
+        solutions = evaluate(small_home, replace(query, distinct=False)).rows
+        assert Counter(solutions) == Counter(expected)
 
     def test_preference_rows_independent_of_pattern_order(self, small_home):
         query = paper_query("180000")
