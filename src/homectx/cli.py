@@ -150,12 +150,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # The stderr prefix and exit code of each error kind a command reports; any
-# other OSError, OverflowError or ValueError prints "<command> error: ..."
-# and exits EXIT_PARSE.
+# other OverflowError or ValueError prints "<command> error: ..." and exits
+# EXIT_PARSE.
 ERRORS = (
     (rdf.ParseError, "parse error", EXIT_PARSE),
     (sparql.QueryError, "query error", EXIT_CONTRACT),
     (ontology.ModelError, "model error", EXIT_CONTRACT),
+    (OSError, "os error", EXIT_PARSE),
 )
 
 

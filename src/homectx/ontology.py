@@ -138,6 +138,14 @@ def _single_object(store: TripleStore, subject: Iri, predicate: Iri):
     return hits[0].object if hits else None
 
 
+def _first_objects(store: TripleStore, predicate: Iri) -> dict:
+    """Each subject's ``_single_object`` at ``predicate``, from one ``match``."""
+    first = {}
+    for t in store.match(TriplePattern(Variable("s"), predicate, Variable("o"))):
+        first.setdefault(t.subject, t.object)  # hits come in canonical order
+    return first
+
+
 def _required_literal(store: TripleStore, subject: Iri, predicate: Iri, datatype: Iri) -> str:
     """The lexical form of the one ``datatype`` literal at ``predicate``."""
     obj = _single_object(store, subject, predicate)
@@ -188,25 +196,27 @@ def load_home_model(store: TripleStore) -> None:
     at least one boolean-valued property (the fixture carries no rdf:type
     triples, so discovery is structural).  Every :hasPriority must be an
     xsd:positiveInteger.  All shapes are checked first, then each activity's
-    person and profile.
+    person and profile.  Each of :name, :hasPriority, :When, :Who and :Do is
+    read with one ``match``, and each profile with one more.
 
     Reading triples carry only environment predicates and no boolean
     objects, so nothing here reads them: a store that passes stays valid
     as readings are inserted.
     """
+    names = _first_objects(store, P_NAME)
     persons = set()
     for t in store.match(TriplePattern(Variable("s"), P_PRIORITY, Variable("o"))):
         # reasoning reads every :hasPriority, named subject or not, as an int
         if not (isinstance(t.object, Literal) and t.object.datatype == XSD_POSITIVE_INTEGER):
             raise ModelError(f"hasPriority on {t.subject.written} must be an "
                              "xsd:positiveInteger")
-        if isinstance(_single_object(store, t.subject, P_NAME), Literal):
+        if isinstance(names.get(t.subject), Literal):
             persons.add(t.subject)
 
+    whos, dos = _first_objects(store, P_WHO), _first_objects(store, P_DO)
     activities = {}  # activity Iri -> (who, does)
     for t in store.match(TriplePattern(Variable("s"), P_WHEN, Variable("o"))):
-        who = _single_object(store, t.subject, P_WHO)
-        does = _single_object(store, t.subject, P_DO)
+        who, does = whos.get(t.subject), dos.get(t.subject)
         if who is None or does is None:
             continue
         if not isinstance(t.object, Iri):

@@ -331,10 +331,13 @@ def escape_string(s: str) -> str:
             .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t"))
 
 
-_PN_PREFIX_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 # The local part of a prefixed name; ``serialize`` writes home IRIs in that
 # form, so a local name must match all of it to survive a round trip.
 PN_LOCAL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_-]*")
+# ``prefix:local``, both parts optional; it always matches, and group 2 is
+# None when no ``:`` follows the prefix.
+_PNAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_-]*)?(:(%s)?)?" % PN_LOCAL_RE.pattern)
+_STRING_RUN_RE = re.compile(r'[^"\\\n]*')  # a string literal up to its next " \ or newline
 _WS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")  # whitespace and # comments
 
 
@@ -342,12 +345,15 @@ class _Lexer:
     """Shared character scanner for the data and query grammars.
 
     Only the offset is tracked; line and column are worked out when an
-    error is raised.
+    error is raised.  ``iris`` and ``literals`` hold the terms read so far,
+    so that each distinct term is built and validated once per parse.
     """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.iris: dict[tuple[str, str], Iri] = {}
+        self.literals: dict[tuple[str, Iri], Literal] = {}
 
     def error(self, message: str, pos: int | None = None) -> ParseError:
         """A ParseError at ``pos`` (default: the current offset)."""
@@ -375,39 +381,32 @@ class _Lexer:
         if not self.take(literal):
             raise self.error(f"expected {literal!r}")
 
-    def read_regex(self, regex: re.Pattern) -> str | None:
-        m = regex.match(self.text, self.pos)
-        if not m:
-            return None
-        self.pos = m.end()
-        return m.group(0)
-
     def read_pname(self) -> tuple[str, str | None]:
         """Read ``prefix:local`` (local may be absent, for @prefix lines)."""
-        prefix = self.read_regex(_PN_PREFIX_RE) or ""
-        if not self.take(":"):
+        m = _PNAME_RE.match(self.text, self.pos)
+        self.pos = m.end()
+        if m.group(2) is None:
             raise self.error("expected prefixed name")
-        local = self.read_regex(PN_LOCAL_RE)
-        return prefix, local
+        return m.group(1) or "", m.group(3)
 
     def read_string(self) -> str:
         self.expect('"')
         out = []
         while True:
+            end = _STRING_RUN_RE.match(self.text, self.pos).end()
+            out.append(self.text[self.pos:end])
+            self.pos = end
             c = self.peek()
             if not c or c == "\n":
                 raise self.error("unterminated string literal")
             self.pos += 1
             if c == '"':
                 return "".join(out)
-            if c == "\\":
-                esc = self.peek()
-                if esc not in _ESCAPES:
-                    raise self.error(f"unknown escape \\{esc}")
-                self.pos += 1
-                out.append(_ESCAPES[esc])
-            else:
-                out.append(c)
+            esc = self.peek()  # c is a backslash
+            if esc not in _ESCAPES:
+                raise self.error(f"unknown escape \\{esc}")
+            self.pos += 1
+            out.append(_ESCAPES[esc])
 
     def read_iriref(self) -> str:
         self.expect("<")
@@ -425,7 +424,10 @@ def _resolve(lexer: _Lexer, prefixes: dict, prefix: str, local: str | None) -> I
     ns = prefixes.get(prefix)
     if ns is None:
         raise lexer.error(f"undeclared prefix {prefix + ':'!r}")
-    return Iri(ns, local)
+    iri = lexer.iris.get((ns, local))
+    if iri is None:
+        iri = lexer.iris[ns, local] = Iri(ns, local)
+    return iri
 
 
 def _parse_term(lexer: _Lexer, prefixes: dict, allow_literal: bool) -> Term:
@@ -438,10 +440,13 @@ def _parse_term(lexer: _Lexer, prefixes: dict, allow_literal: bool) -> Term:
         lexer.expect("^^")
         prefix, local = lexer.read_pname()
         dt = _resolve(lexer, prefixes, prefix, local)
-        try:
-            return Literal(lex, dt)
-        except ValueError as exc:
-            raise lexer.error(str(exc), start) from None
+        literal = lexer.literals.get((lex, dt))
+        if literal is None:
+            try:
+                literal = lexer.literals[lex, dt] = Literal(lex, dt)
+            except ValueError as exc:
+                raise lexer.error(str(exc), start) from None
+        return literal
     prefix, local = lexer.read_pname()
     return _resolve(lexer, prefixes, prefix, local)
 

@@ -50,6 +50,13 @@ class TestQuery:
     def test_unbound_projection_exits_2(self, capsys):
         assert main(["query", *fixture_args(),
                      "SELECT ?x WHERE { ?s :name ?n. }"]) == 2
+        assert capsys.readouterr().err == "query error: variable ?x projected but never bound\n"
+
+    def test_missing_data_file_is_os_error(self, capsys):
+        assert main(["query", "--data", "/nonexistent.ttl",
+                     "SELECT ?s WHERE { ?s ?p ?o . }"]) == 1
+        assert capsys.readouterr().err == (
+            "os error: [Errno 2] No such file or directory: '/nonexistent.ttl'\n")
 
     def test_query_from_file(self, capsys, tmp_path):
         qfile = tmp_path / "q.rq"
@@ -106,7 +113,7 @@ class TestServe:
             port = holder.getsockname()[1]
             assert main(["serve", *fixture_args(), "--port", str(port)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("serve error: ") and err.count("\n") == 1
+        assert err.startswith("os error: ") and err.count("\n") == 1
         assert "Traceback" not in err and "listening" not in err
 
     @pytest.mark.parametrize("port", ["70000", "-1"])
@@ -174,7 +181,7 @@ class TestLoad:
     def test_missing_file(self, capsys):
         assert main(["load", "--data", "/nonexistent.ttl"]) == 1
         assert capsys.readouterr().err == (
-            "load error: [Errno 2] No such file or directory: '/nonexistent.ttl'\n")
+            "os error: [Errno 2] No such file or directory: '/nonexistent.ttl'\n")
 
     def test_parse_error_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "bad.ttl"
@@ -248,7 +255,7 @@ class TestGenTrace:
         out = tmp_path / "missing" / "t.jsonl"
         assert main(["gen-trace", "--out", str(out), "--duration", "5"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("gen-trace error: ") and err.count("\n") == 1
+        assert err.startswith("os error: ") and err.count("\n") == 1
         assert "No such file or directory" in err and not out.parent.exists()
 
     def test_noise_below_thresholds(self):

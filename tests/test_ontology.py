@@ -6,18 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GHOST_MODEL, NON_ASCII_TIMES, rand_reading
+from conftest import GHOST_MODEL, NON_ASCII_TIMES, home_text, rand_reading
 from homectx import rdf
+from homectx.ingest import ContextEngine
 from homectx.ontology import (
     MEMO_SIZE,
+    P_DO,
+    P_NAME,
+    P_PRIORITY,
+    P_WHEN,
+    P_WHO,
+    XSD_BOOLEAN,
+    XSD_POSITIVE_INTEGER,
     EnvironmentReading,
     ModelError,
     TimeOfDay,
+    _single_object,
     load_home_model,
     reading_to_triples,
     triples_to_reading,
 )
-from homectx.rdf import Literal, Triple, TripleStore, home, xsd
+from homectx.rdf import Iri, Literal, Triple, TriplePattern, TripleStore, Variable, home, xsd
 
 
 def make_reading(persons=("Father",)):
@@ -248,3 +257,102 @@ class TestHomeModel:
             for _ in range(5):
                 rng.shuffle(triples)
                 assert verdict(TripleStore(triples)) == message
+
+
+def oracle_verdict(store):
+    """The model check asked subject by subject, with one ``_single_object``
+    per person and per activity: the referee for ``load_home_model``."""
+    persons = set()
+    for t in store.match(TriplePattern(Variable("s"), P_PRIORITY, Variable("o"))):
+        if not (isinstance(t.object, Literal) and t.object.datatype == XSD_POSITIVE_INTEGER):
+            return f"hasPriority on {t.subject.written} must be an xsd:positiveInteger"
+        if isinstance(_single_object(store, t.subject, P_NAME), Literal):
+            persons.add(t.subject)
+    activities = {}
+    for t in store.match(TriplePattern(Variable("s"), P_WHEN, Variable("o"))):
+        who = _single_object(store, t.subject, P_WHO)
+        does = _single_object(store, t.subject, P_DO)
+        if who is None or does is None:
+            continue
+        if not isinstance(t.object, Iri):
+            return f"When on {t.subject.written} must name a time resource"
+        if not isinstance(who, Iri) or not isinstance(does, Iri):
+            return f"Who/Do on {t.subject.written} must be resources"
+        try:
+            TimeOfDay.from_label(t.object.local)
+        except ValueError as exc:
+            return str(exc)
+        activities[t.subject] = (who, does)
+    for activity, (who, does) in activities.items():
+        if who not in persons:
+            return f"activity {activity.written} references unknown person {who.written}"
+        if not any(isinstance(t.object, Literal) and t.object.datatype == XSD_BOOLEAN
+                   for t in store.match(TriplePattern(does, Variable("p"), Variable("o")))):
+            return f"activity {activity.written} references unknown preference {does.written}"
+    return None
+
+
+PEOPLE = [home(f"p{i}") for i in range(4)]  # a home defines at most three of them
+PROFILES = [home(f"f{i}") for i in range(3)]  # and at most two of these
+SLOTS = [home("_070000"), home("_180000")]
+P_LIGHT = home("Light")
+# What a fault may put at a predicate: other persons and profiles, names
+# that are not literals, bad time labels, and literals of every kind.
+FAULT_OBJECTS = PEOPLE + PROFILES + SLOTS + [
+    home("_1800"), Literal("x", xsd("string")), Literal("2.5", xsd("double")),
+    Literal("7", XSD_POSITIVE_INTEGER), Literal("true", XSD_BOOLEAN)]
+
+
+@st.composite
+def faulty_homes(draw):
+    """A small valid home, then up to four faults: each adds an object at a
+    predicate (so a subject may hold two), replaces its objects, or drops them."""
+    def pick(pool):
+        return draw(st.sampled_from(pool))
+
+    people = PEOPLE[:draw(st.integers(1, 3))]
+    profiles = PROFILES[:draw(st.integers(1, 2))]
+    activities = [home(f"a{i}") for i in range(draw(st.integers(1, 4)))]
+    facts = {}  # (subject, predicate) -> objects
+    for person in people:
+        facts[person, P_NAME] = [Literal(person.local, xsd("string"))]
+        facts[person, P_PRIORITY] = [Literal(str(draw(st.integers(1, 10))),
+                                             XSD_POSITIVE_INTEGER)]
+    for profile in profiles:
+        facts[profile, P_LIGHT] = [Literal(pick(["true", "false"]), XSD_BOOLEAN)]
+    for activity in activities:
+        facts[activity, P_WHEN] = [pick(SLOTS)]
+        facts[activity, P_WHO] = [pick(people)]
+        facts[activity, P_DO] = [pick(profiles)]
+    subjects = {P_NAME: PEOPLE, P_PRIORITY: PEOPLE, P_LIGHT: PROFILES,
+                P_WHEN: activities, P_WHO: activities, P_DO: activities}
+    for _ in range(draw(st.integers(0, 4))):
+        predicate = pick(list(subjects))
+        objects = facts.setdefault((pick(subjects[predicate]), predicate), [])
+        mode = pick(["add", "replace", "drop"])
+        if mode != "add":
+            objects.clear()
+        if mode != "drop":
+            objects.append(pick(FAULT_OBJECTS))
+    return [Triple(s, p, o) for (s, p), objects in facts.items() for o in objects]
+
+
+class TestModelCheckReferee:
+    @given(faulty_homes())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_per_subject_oracle(self, triples):
+        store = TripleStore(triples)
+        assert verdict(store) == oracle_verdict(store)
+
+    def test_match_calls_do_not_grow_with_the_home(self, monkeypatch):
+        calls = []
+        match = TripleStore.match
+        monkeypatch.setattr(TripleStore, "match",
+                            lambda store, pattern: calls.append(pattern) or match(store, pattern))
+        counts = []
+        for persons in (10, 100):
+            store = TripleStore(rdf.parse_data(home_text(persons, seed=5, present=3)))
+            calls.clear()
+            ContextEngine(store)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import OBJECT_POOL, PREDICATE_POOL, SUBJECT_POOL, rand_store
+from conftest import OBJECT_POOL, PREDICATE_POOL, SUBJECT_POOL, home_text, rand_store
 from homectx import rdf
 from homectx.rdf import (
     Iri,
@@ -225,6 +225,11 @@ class TestParser:
         triples = rdf.parse_data(text)
         again = rdf.parse_data(rdf.serialize(TripleStore(triples)))
         assert set(again) == set(triples)
+
+    def test_each_distinct_term_is_built_once(self):
+        triples = rdf.parse_data(home_text(100, seed=5, present=30))
+        built = {id(term) for t in triples for term in (t.subject, t.predicate, t.object)}
+        assert len(built) == len(TripleStore(triples).terms)
 
 
 class TestSerializer:
