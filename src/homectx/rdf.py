@@ -13,6 +13,7 @@ in: the empty prefix for the home namespace and ``xsd:``.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from datetime import date as _date
@@ -65,15 +66,14 @@ def xsd(local: str) -> Iri:
     return Iri(XSD_NS, local)
 
 
-_TIME_RE = re.compile(r"^\d{2}:\d{2}:\d{2}$")
+# Lexical forms are ASCII and matched whole: ``\d`` would take other
+# scripts' digits, ``$`` a trailing newline, and float() spaces and "1_0".
+_TIME_RE = re.compile(r"[0-9]{2}:[0-9]{2}:[0-9]{2}")
+_DOUBLE_RE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 def _valid_double(lex: str) -> bool:
-    try:
-        v = float(lex)
-    except ValueError:
-        return False
-    return v == v and v not in (float("inf"), float("-inf"))
+    return _DOUBLE_RE.fullmatch(lex) is not None and math.isfinite(float(lex))
 
 
 def parse_date(text: str) -> _date:
@@ -95,7 +95,7 @@ def _valid_date(lex: str) -> bool:
 
 
 def _valid_time(lex: str) -> bool:
-    if not _TIME_RE.match(lex):
+    if not _TIME_RE.fullmatch(lex):
         return False
     h, m, s = (int(p) for p in lex.split(":"))
     return h < 24 and m < 60 and s < 60
@@ -108,7 +108,7 @@ DATATYPE_VALIDATORS = {
     xsd("string"): lambda lex: True,
     xsd("date"): _valid_date,
     xsd("time"): _valid_time,
-    xsd("positiveInteger"): lambda lex: lex.isdigit() and int(lex) >= 1,
+    xsd("positiveInteger"): lambda lex: lex.isascii() and lex.isdigit() and int(lex) >= 1,
 }
 
 
@@ -334,24 +334,37 @@ def escape_string(s: str) -> str:
 # The local part of a prefixed name; ``serialize`` writes home IRIs in that
 # form, so a local name must match all of it to survive a round trip.
 PN_LOCAL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_-]*")
-# ``prefix:local``, both parts optional; it always matches, and group 2 is
-# None when no ``:`` follows the prefix.
-_PNAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_-]*)?(:(%s)?)?" % PN_LOCAL_RE.pattern)
-_STRING_RUN_RE = re.compile(r'[^"\\\n]*')  # a string literal up to its next " \ or newline
+# ``prefix:local``, both parts optional; it always matches.  ``prefix`` is ""
+# when absent, and ``colon`` is None when no ``:`` follows the prefix.
+_PNAME = r"(?P<prefix>[A-Za-z][A-Za-z0-9_-]*|)(?P<colon>:(?P<local>%s)?)?" % PN_LOCAL_RE.pattern
+_PNAME_RE = re.compile(_PNAME)
+# A term: ``?name`` (``var`` is "" after a bare ``?``), a string literal's
+# body up to the first character it cannot hold (its closing quote, or the
+# newline, end of text or unknown escape that leaves it unfinished), or else
+# a prefixed name.  It always matches.
+_TERM_RE = re.compile(r'\?(?P<var>[A-Za-z_][A-Za-z0-9_]*|)'
+                      r'|"(?P<string>[^"\\\n]*(?:\\["\\ntr][^"\\\n]*)*)|' + _PNAME)
+_ESCAPE_RE = re.compile(r'\\(["\\ntr])')
 _WS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")  # whitespace and # comments
 
 
 class _Lexer:
-    """Shared character scanner for the data and query grammars.
+    """The one cursor over the data and query grammars.
 
-    Only the offset is tracked; line and column are worked out when an
-    error is raised.  ``iris`` and ``literals`` hold the terms read so far,
-    so that each distinct term is built and validated once per parse.
+    Whitespace and ``#`` comments may sit between any two tokens, so every
+    read skips them first, through ``peek``.  A literal ``"lex"^^datatype``
+    is one token, with nothing allowed inside it.  Only the offset is
+    tracked; line and column are worked out when an error is raised.
+    ``iris`` and ``literals`` hold the terms read so far, so that each
+    distinct term is built and validated once per parse.  ``variables``
+    says whether the grammar has ``?name`` terms.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, variables: bool = False):
         self.text = text
         self.pos = 0
+        self.variables = variables
+        self.prefixes = dict(BUILTIN_PREFIXES)
         self.iris: dict[tuple[str, str], Iri] = {}
         self.literals: dict[tuple[str, Iri], Literal] = {}
 
@@ -361,17 +374,13 @@ class _Lexer:
         line = self.text.count("\n", 0, pos) + 1
         return ParseError(message, line, pos - self.text.rfind("\n", 0, pos))
 
-    def skip_ws(self):
-        self.pos = _WS_RE.match(self.text, self.pos).end()
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
     def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """Move past whitespace and comments; the next character, "" at the end."""
+        self.pos = pos = _WS_RE.match(self.text, self.pos).end()
+        return self.text[pos:pos + 1]
 
     def take(self, literal: str) -> bool:
+        self.peek()
         if self.text.startswith(literal, self.pos):
             self.pos += len(literal)
             return True
@@ -381,98 +390,89 @@ class _Lexer:
         if not self.take(literal):
             raise self.error(f"expected {literal!r}")
 
-    def read_pname(self) -> tuple[str, str | None]:
-        """Read ``prefix:local`` (local may be absent, for @prefix lines)."""
-        m = _PNAME_RE.match(self.text, self.pos)
-        self.pos = m.end()
-        if m.group(2) is None:
+    def read(self, pattern: re.Pattern) -> re.Match | None:
+        """The match of ``pattern`` at the next token, which it moves past;
+        None if it does not match there."""
+        self.peek()
+        m = pattern.match(self.text, self.pos)
+        if m:
+            self.pos = m.end()
+        return m
+
+    def iri(self, prefix: str, colon: str | None, local: str | None) -> Iri:
+        """The IRI that the groups of a ``_PNAME`` match name; the cursor
+        stands at the match's end, where any error points."""
+        if colon is None:
             raise self.error("expected prefixed name")
-        return m.group(1) or "", m.group(3)
-
-    def read_string(self) -> str:
-        self.expect('"')
-        out = []
-        while True:
-            end = _STRING_RUN_RE.match(self.text, self.pos).end()
-            out.append(self.text[self.pos:end])
-            self.pos = end
-            c = self.peek()
-            if not c or c == "\n":
-                raise self.error("unterminated string literal")
-            self.pos += 1
-            if c == '"':
-                return "".join(out)
-            esc = self.peek()  # c is a backslash
-            if esc not in _ESCAPES:
-                raise self.error(f"unknown escape \\{esc}")
-            self.pos += 1
-            out.append(_ESCAPES[esc])
-
-    def read_iriref(self) -> str:
-        self.expect("<")
-        end = self.text.find(">", self.pos)
-        if end == -1:
-            raise self.error("unterminated IRI reference")
-        iri = self.text[self.pos:end]
-        self.pos = end + 1
+        if local is None:
+            raise self.error("prefixed name is missing its local part")
+        ns = self.prefixes.get(prefix)
+        if ns is None:
+            raise self.error(f"undeclared prefix {prefix + ':'!r}")
+        iri = self.iris.get((ns, local))
+        if iri is None:
+            iri = self.iris[ns, local] = Iri(ns, local)
         return iri
 
-
-def _resolve(lexer: _Lexer, prefixes: dict, prefix: str, local: str | None) -> Iri:
-    if local is None:
-        raise lexer.error("prefixed name is missing its local part")
-    ns = prefixes.get(prefix)
-    if ns is None:
-        raise lexer.error(f"undeclared prefix {prefix + ':'!r}")
-    iri = lexer.iris.get((ns, local))
-    if iri is None:
-        iri = lexer.iris[ns, local] = Iri(ns, local)
-    return iri
-
-
-def _parse_term(lexer: _Lexer, prefixes: dict, allow_literal: bool) -> Term:
-    lexer.skip_ws()
-    start = lexer.pos
-    if lexer.peek() == '"':
+    def term(self, allow_literal: bool) -> PatternTerm:
+        """A prefixed name, a literal if ``allow_literal``, or a variable if
+        the grammar has them."""
+        m = self.read(_TERM_RE)
+        var, lex, prefix, colon, local = m.groups()
+        if lex is None:
+            if var is None:
+                return self.iri(prefix, colon, local)
+            if not self.variables:
+                raise self.error("expected prefixed name", m.start())
+            if not var:
+                raise self.error("expected variable", m.start())
+            return Variable(var)
+        start, end = m.span()
         if not allow_literal:
-            raise lexer.error("literal not allowed here")
-        lex = lexer.read_string()
-        lexer.expect("^^")
-        prefix, local = lexer.read_pname()
-        dt = _resolve(lexer, prefixes, prefix, local)
-        literal = lexer.literals.get((lex, dt))
+            raise self.error("literal not allowed here", start)
+        text = self.text
+        if not text.startswith('"^^', end):
+            if text.startswith("\\", end):
+                raise self.error(f"unknown escape \\{text[end + 1:end + 2]}", end + 1)
+            if text.startswith('"', end):
+                raise self.error("expected '^^'", end + 1)
+            raise self.error("unterminated string literal", end)
+        m = _PNAME_RE.match(text, end + 3)  # the datatype follows ^^ directly
+        self.pos = m.end()
+        datatype = self.iri(*m.groups())
+        if "\\" in lex:
+            lex = _ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], lex)
+        literal = self.literals.get((lex, datatype))
         if literal is None:
             try:
-                literal = lexer.literals[lex, dt] = Literal(lex, dt)
+                literal = self.literals[lex, datatype] = Literal(lex, datatype)
             except ValueError as exc:
-                raise lexer.error(str(exc), start) from None
+                raise self.error(str(exc), start) from None
         return literal
-    prefix, local = lexer.read_pname()
-    return _resolve(lexer, prefixes, prefix, local)
 
 
 def parse_data(text: str) -> list[Triple]:
     """Parse a Turtle-subset document into triples, in document order."""
     lexer = _Lexer(text)
-    prefixes = dict(BUILTIN_PREFIXES)
     triples: list[Triple] = []
-    while not lexer.at_end():
-        if lexer.take("@prefix"):
-            lexer.skip_ws()
-            prefix, local = lexer.read_pname()
+    while c := lexer.peek():
+        if c == "@" and lexer.take("@prefix"):
+            prefix, colon, local = lexer.read(_PNAME_RE).groups()
+            if colon is None:
+                raise lexer.error("expected prefixed name")
             if local is not None:
                 raise lexer.error("prefix declaration must end with ':'")
-            lexer.skip_ws()
-            prefixes[prefix] = lexer.read_iriref()
-            lexer.skip_ws()
-            lexer.expect(".")
-            continue
-        s = _parse_term(lexer, prefixes, allow_literal=False)
-        p = _parse_term(lexer, prefixes, allow_literal=False)
-        o = _parse_term(lexer, prefixes, allow_literal=True)
-        lexer.skip_ws()
+            lexer.expect("<")
+            end = text.find(">", lexer.pos)
+            if end == -1:
+                raise lexer.error("unterminated IRI reference")
+            lexer.prefixes[prefix] = text[lexer.pos:end]
+            lexer.pos = end + 1
+        else:
+            triples.append(Triple(lexer.term(allow_literal=False),
+                                  lexer.term(allow_literal=False),
+                                  lexer.term(allow_literal=True)))
         lexer.expect(".")
-        triples.append(Triple(s, p, o))
     return triples
 
 

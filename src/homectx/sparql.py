@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .rdf import (
-    BUILTIN_PREFIXES,
     Iri,
     Literal,
     Term,
@@ -27,8 +26,7 @@ from .rdf import (
     Variable,
     _Lexer,
     _EMPTY,
-    _parse_term,
-    _resolve,
+    _PNAME_RE,
     term_key,
     xsd,
 )
@@ -36,6 +34,7 @@ from .rdf import (
 _UNSUPPORTED = (
     "OPTIONAL", "UNION", "MINUS", "GRAPH", "BIND", "VALUES", "LIMIT",
     "OFFSET", "GROUP", "HAVING", "CONSTRUCT", "ASK", "DESCRIBE", "SERVICE",
+    "PREFIX", "BASE",
 )
 
 # How ORDER BY reads a numeric literal's value: an integer exactly, as an int.
@@ -91,125 +90,87 @@ class ResultTable:
 # --- parsing -----------------------------------------------------------------
 
 _VAR_RE = re.compile(r"\?([A-Za-z_][A-Za-z0-9_]*)")
-_WORD_RE = re.compile(r"[A-Za-z]+")
 
 
-class _QueryLexer(_Lexer):
-    def peek_word(self) -> str:
-        self.skip_ws()
-        m = _WORD_RE.match(self.text, self.pos)
-        return m.group(0) if m else ""
-
-    def take_keyword(self, word: str) -> bool:
-        self.skip_ws()
-        if self.peek_word().upper() == word:
-            self.pos += len(word)
-            return True
-        return False
-
-    def read_variable(self) -> Variable:
-        self.skip_ws()
-        m = _VAR_RE.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected variable")
-        self.pos = m.end()
-        return Variable(m.group(1))
+def _keyword(*words: str) -> re.Pattern:
+    """Any of ``words``, in any case, as a whole word: ``SELECT1`` reads as SELECT."""
+    return re.compile("(?:%s)(?![A-Za-z])" % "|".join(words), re.ASCII | re.IGNORECASE)
 
 
-def _reject_unsupported(lexer: _QueryLexer):
-    word = lexer.peek_word()
-    if word.upper() in _UNSUPPORTED:
-        raise lexer.error(f"unsupported feature {word.upper()}")
+_SELECT, _DISTINCT, _WHERE, _FILTER, _DATATYPE, _ORDER, _BY = map(
+    _keyword, ("SELECT", "DISTINCT", "WHERE", "FILTER", "DATATYPE", "ORDER", "BY"))
+_DIRECTION = _keyword("ASC", "DESC")
+_UNSUPPORTED_RE = _keyword(*_UNSUPPORTED)
 
 
-def _parse_pattern_term(lexer: _QueryLexer, allow_literal: bool):
-    lexer.skip_ws()
-    if lexer.peek() == "?":
-        return lexer.read_variable()
-    return _parse_term(lexer, BUILTIN_PREFIXES, allow_literal)
+def _reject_unsupported(lexer: _Lexer):
+    m = lexer.read(_UNSUPPORTED_RE)
+    if m:
+        raise lexer.error(f"unsupported feature {m[0].upper()}", m.start())
+
+
+def _variable(lexer: _Lexer) -> Variable:
+    m = lexer.read(_VAR_RE)
+    if m is None:
+        raise lexer.error("expected variable")
+    return Variable(m[1])
 
 
 def parse_query(text: str) -> Query:
     """Parse query text into an AST, preserving pattern order."""
-    lexer = _QueryLexer(text)
-    if not lexer.take_keyword("SELECT"):
+    lexer = _Lexer(text, variables=True)
+    if not lexer.read(_SELECT):
         _reject_unsupported(lexer)
         raise lexer.error("expected SELECT")
-    distinct = lexer.take_keyword("DISTINCT")
+    distinct = lexer.read(_DISTINCT) is not None
     projection = []
-    while True:
-        lexer.skip_ws()
-        if lexer.peek() != "?":
-            break
-        projection.append(lexer.read_variable())
-    if not lexer.take_keyword("WHERE"):
+    while lexer.peek() == "?":
+        projection.append(_variable(lexer))
+    if not lexer.read(_WHERE):
         raise lexer.error("expected WHERE")
-    lexer.skip_ws()
     lexer.expect("{")
 
     patterns: list[TriplePattern] = []
     filters: list[FilterExpr] = []
-    while True:
-        lexer.skip_ws()
-        if lexer.peek() == "}":
-            lexer.expect("}")
-            break
+    while not lexer.take("}"):
         if not lexer.peek():
             raise lexer.error("unterminated WHERE block")
         _reject_unsupported(lexer)
-        if lexer.peek_word().upper() == "FILTER":
-            lexer.take_keyword("FILTER")
-            lexer.skip_ws()
+        if lexer.read(_FILTER):
             lexer.expect("(")
-            if not lexer.take_keyword("DATATYPE"):
+            if not lexer.read(_DATATYPE):
                 raise lexer.error("only datatype(...) filters are supported")
-            lexer.skip_ws()
             lexer.expect("(")
-            var = lexer.read_variable()
-            lexer.skip_ws()
+            var = _variable(lexer)
             lexer.expect(")")
-            lexer.skip_ws()
             lexer.expect("=")
-            lexer.skip_ws()
-            prefix, local = lexer.read_pname()
-            dt = _resolve(lexer, BUILTIN_PREFIXES, prefix, local)
-            lexer.skip_ws()
+            dt = lexer.iri(*lexer.read(_PNAME_RE).groups())
             lexer.expect(")")
-            lexer.skip_ws()
             lexer.take(".")  # trailing dot after a filter is optional
             filters.append(FilterExpr(var, dt))
-            continue
-        s = _parse_pattern_term(lexer, allow_literal=False)
-        p = _parse_pattern_term(lexer, allow_literal=False)
-        o = _parse_pattern_term(lexer, allow_literal=True)
-        lexer.skip_ws()
-        lexer.expect(".")
-        patterns.append(TriplePattern(s, p, o))
+        else:
+            patterns.append(TriplePattern(lexer.term(allow_literal=False),
+                                          lexer.term(allow_literal=False),
+                                          lexer.term(allow_literal=True)))
+            lexer.expect(".")
 
     order_keys: list[OrderKey] = []
-    if lexer.take_keyword("ORDER"):
-        if not lexer.take_keyword("BY"):
+    if lexer.read(_ORDER):
+        if not lexer.read(_BY):
             raise lexer.error("expected BY after ORDER")
         while True:
-            lexer.skip_ws()
-            if lexer.take_keyword("DESC"):
-                descending = True
-            elif lexer.take_keyword("ASC"):
-                descending = False
+            direction = lexer.read(_DIRECTION)
+            if direction:
+                lexer.expect("(")
+                order_keys.append(OrderKey(_variable(lexer), direction[0].upper() == "DESC"))
+                lexer.expect(")")
             elif lexer.peek() == "?":
-                order_keys.append(OrderKey(lexer.read_variable(), False))
-                continue
+                order_keys.append(OrderKey(_variable(lexer), False))
             else:
                 break
-            lexer.skip_ws()
-            lexer.expect("(")
-            var = lexer.read_variable()
-            lexer.skip_ws()
-            lexer.expect(")")
-            order_keys.append(OrderKey(var, descending))
         if not order_keys:
             raise lexer.error("ORDER BY needs at least one key")
-    if not lexer.at_end():
+    if lexer.peek():
         _reject_unsupported(lexer)
         raise lexer.error("unexpected trailing input")
 

@@ -61,13 +61,15 @@ def gen_trace(out_path, params: TraceParams) -> dict:
     # base values per stream: [temperature, humidity, illumination]
     bases = {s: [20.0 + s, 30.0 + s, 400.0 + 10 * s]
              for s in range(params.streams)}
-    # event slots: (tick, stream) with tick >= 1 so the first reading stays clean
-    slots = [(t, s) for t in range(1, total_ticks) for s in range(params.streams)]
+    # event slots: (tick, stream) with tick >= 1 so the first reading stays
+    # clean.  Slot i is (1 + i // streams, i % streams); sampling from the
+    # range draws the same slots as from a list of them, without building it.
+    slots = range((total_ticks - 1) * params.streams)
     if params.events > len(slots):
         raise ValueError("more events than available trace positions")
-    event_slots = dict.fromkeys(rng.sample(slots, params.events))
-    for i, slot in enumerate(event_slots):
-        event_slots[slot] = _EVENT_FACTORS[i % len(_EVENT_FACTORS)]
+    event_slots = {(1 + i // params.streams, i % params.streams):
+                   _EVENT_FACTORS[k % len(_EVENT_FACTORS)]
+                   for k, i in enumerate(rng.sample(slots, params.events))}
 
     factor_index = {"temperature": 0, "humidity": 1, "illumination": 2}
     manifest_events = []

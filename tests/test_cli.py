@@ -1,5 +1,6 @@
 import json
 import socket
+import tracemalloc
 
 import pytest
 
@@ -208,6 +209,17 @@ class TestGenTrace:
             assert sum(1 for _ in fh) == 36000
         sidecar = json.loads((tmp_path / "trace.jsonl.manifest.json").read_text())
         assert sidecar == manifest
+
+    def test_memory_does_not_grow_with_the_trace(self, tmp_path):
+        # 72,000 lines; the trace goes to disk, so only a line's worth of
+        # memory need be live at once
+        tracemalloc.start()
+        try:
+            gen_trace(tmp_path / "trace.jsonl", TraceParams(streams=10, duration=7200))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
     def test_zero_events_stores_streams(self, tmp_path):
         out = tmp_path / "trace.jsonl"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import OBJECT_POOL, PREDICATE_POOL, SUBJECT_POOL, home_text, rand_store
 from homectx import rdf
+from homectx.ontology import format_double
 from homectx.rdf import (
     Iri,
     Literal,
@@ -42,10 +43,23 @@ class TestTerms:
         ("25:00:00", "time"),
         ("0", "positiveInteger"),
         ("abc", "double"),
+        ("12:00:00\n", "time"),
+        ("\uff11\uff12:00:00", "time"),
+        ("\u0661", "positiveInteger"),
+        ("\u00b2", "positiveInteger"),
+        ("\u0661", "double"),
+        (" 1", "double"),
+        ("1_0", "double"),
     ])
     def test_invalid_lexical_forms(self, lex, dt):
         with pytest.raises(ValueError, match="invalid lexical"):
             Literal(lex, xsd(dt))
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 7.0, -3.0, 0.1, -2.5, 1e15, 1e16,
+                                       1.5e-07, -2.5e300, 5e-324, 123456789012345.6])
+    def test_every_double_format_double_writes_is_valid(self, value):
+        lex = format_double(value)
+        assert float(Literal(lex, xsd("double")).lexical) == value
 
     def test_literal_subject_rejected(self):
         lit = Literal("x", xsd("string"))

@@ -78,6 +78,18 @@ class TestParseQuery:
         with pytest.raises(ParseError, match="unsupported feature LIMIT"):
             parse_query("SELECT ?s WHERE { ?s :a ?y . } LIMIT 5")
 
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("PREFIX ex: <http://x#> SELECT ?s WHERE { ?s ex:a ?o . }",
+         "unsupported feature PREFIX", 1, 1),
+        ("# base first\nbase <http://x#> SELECT ?s WHERE { ?s :a ?o . }",
+         "unsupported feature BASE", 2, 1),
+        ("SELECT ?s WHERE { ?s :a ?o . } PREFIX", "unsupported feature PREFIX", 1, 32),
+    ], ids=["prefix", "base", "trailing-prefix"])
+    def test_prefix_and_base_rejected(self, text, message, line, column):
+        with pytest.raises(ParseError) as exc:
+            parse_query(text)
+        assert (exc.value.message, exc.value.line, exc.value.column) == (message, line, column)
+
     def test_projected_but_unbound(self):
         with pytest.raises(QueryError, match=r"\?x projected but never bound"):
             parse_query("SELECT ?x WHERE { ?s :a ?y . }")
