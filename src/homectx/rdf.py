@@ -101,6 +101,9 @@ def _valid_time(lex: str) -> bool:
     return h < 24 and m < 60 and s < 60
 
 
+# Reasoning and ORDER BY read an integer with int(), which reads up to 640
+# digits whatever the interpreter's int_max_str_digits limit.
+MAX_INTEGER_DIGITS = 640
 # Only these literal datatypes are accepted; anything else is a parse error.
 DATATYPE_VALIDATORS = {
     xsd("double"): _valid_double,
@@ -108,7 +111,8 @@ DATATYPE_VALIDATORS = {
     xsd("string"): lambda lex: True,
     xsd("date"): _valid_date,
     xsd("time"): _valid_time,
-    xsd("positiveInteger"): lambda lex: lex.isascii() and lex.isdigit() and int(lex) >= 1,
+    xsd("positiveInteger"): lambda lex: (len(lex) <= MAX_INTEGER_DIGITS and lex.isascii()
+                                         and lex.isdigit() and int(lex) >= 1),
 }
 
 
@@ -200,15 +204,13 @@ class TriplePattern:
                 if isinstance(p, Variable)}
 
 
-_EMPTY: frozenset = frozenset()
-
 # The positions (0 subject, 1 predicate, 2 object) whose ids key the index a
-# pattern is looked up in, by which positions the pattern knows.  Every key
-# holds the known subject and predicate; a known object outside the key is
-# checked against each candidate.  No workload probes by the object alone,
-# so such a pattern scans the whole store.
+# pattern is looked up in, by which positions the pattern knows.  A subject's
+# bucket is small, so a known subject is the whole key; a known predicate or
+# object outside the key is checked against each candidate.  No workload
+# probes by the object alone, so such a pattern scans the whole store.
 _KEY_POSITIONS = {
-    (True, True, True): (0, 1), (True, True, False): (0, 1),
+    (True, True, True): (0,), (True, True, False): (0,),
     (True, False, True): (0,), (True, False, False): (0,),
     (False, True, True): (1, 2), (False, True, False): (1,),
     (False, False, True): (), (False, False, False): (),
@@ -216,36 +218,32 @@ _KEY_POSITIONS = {
 
 
 class TripleStore:
-    """Set of triples, dictionary-encoded, with (S), (P), (S,P) and (P,O)
-    lookup indexes.
+    """Set of triples, dictionary-encoded, with (S), (P) and (P,O) lookup
+    indexes.
 
     Each term is interned to an int id once, when ``insert`` first sees it:
     ``terms[i]`` is the term with id ``i`` and ``term_keys[i]`` its
     ``term_key``.  A triple is held only as its ``(s, p, o)`` id tuple.  Each
-    index maps the tuple of ids at its key positions to the set of id tuples
-    holding them.  ``match`` decodes ids to Triples only at its output; the
-    SPARQL join probes the indexes on ids (``index_for``).
+    index maps the tuple of ids at its key positions to a list of the id
+    tuples holding them, each once.  ``match`` decodes ids to Triples only at
+    its output; the SPARQL join probes the indexes on ids (``index_for``).
 
     Not thread-safe: callers serialize all access, reads included, since a
-    read iterates index sets that an insert may grow.  ContextEngine holds
-    one lock for every read and write.
+    read iterates index buckets that an insert may grow.  ContextEngine
+    holds one lock for every read and write.
     """
 
-    def __init__(self, triples=None):
+    def __init__(self, triples=()):
         self.terms: list[Term] = []
         self.term_keys: list[tuple] = []
         self._ids: dict[Term, int] = {}
         self._by_datatype: dict[Iri, set[int]] = {}
         self._spo: set[tuple[int, int, int]] = set()
-        self._by_s: dict = {}
-        self._by_p: dict = {}
-        self._by_sp: dict = {}
-        self._by_po: dict = {}
-        self._indexes = {(0,): self._by_s, (1,): self._by_p, (0, 1): self._by_sp,
-                         (1, 2): self._by_po, (): {(): self._spo}}
-        if triples:
-            for t in triples:
-                self.insert(t)
+        self._by_s, self._by_p, self._by_po = {}, {}, {}
+        self._indexes = {(0,): self._by_s, (1,): self._by_p, (1, 2): self._by_po,
+                         (): {(): self._spo}}
+        for t in triples:
+            self.insert(t)
 
     def __len__(self):
         return len(self._spo)
@@ -274,10 +272,12 @@ class TripleStore:
             return False
         s, p, o = spo
         self._spo.add(spo)
-        self._by_s.setdefault((s,), set()).add(spo)
-        self._by_p.setdefault((p,), set()).add(spo)
-        self._by_sp.setdefault((s, p), set()).add(spo)
-        self._by_po.setdefault((p, o), set()).add(spo)
+        for index, key in ((self._by_s, (s,)), (self._by_p, (p,)), (self._by_po, (p, o))):
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = [spo]
+            else:
+                bucket.append(spo)
         return True
 
     def term_id(self, term: Term) -> int:
@@ -286,24 +286,23 @@ class TripleStore:
 
     def literal_ids(self, datatype: Iri):
         """Ids of the stored literals of ``datatype``."""
-        return self._by_datatype.get(datatype, _EMPTY)
+        return self._by_datatype.get(datatype, ())
 
     def index_for(self, known) -> tuple[tuple, dict]:
         """(positions, index) for a pattern that knows the ids at the
         ``known`` positions, a (subject, predicate, object) triple of bools.
         ``index.get(key)``, for the tuple of the ids at ``positions``, is the
-        one set of id tuples holding every match."""
+        one list holding every match; the caller checks the other known ids."""
         positions = _KEY_POSITIONS[known]
         return positions, self._indexes[positions]
 
     def _lookup(self, pattern: TriplePattern):
         """(ids, candidates): the ids of the pattern's constants, None for
-        each variable, and the one index set that holds every match."""
+        each variable, and the one index bucket that holds every match."""
         ids = [None if isinstance(t, Variable) else self.term_id(t)
                for t in (pattern.subject, pattern.predicate, pattern.object)]
-        positions, index = self.index_for((ids[0] is not None, ids[1] is not None,
-                                           ids[2] is not None))
-        return ids, index.get(tuple([ids[k] for k in positions]), _EMPTY)
+        positions, index = self.index_for(tuple(i is not None for i in ids))
+        return ids, index.get(tuple([ids[k] for k in positions]), ())
 
     def _decoded(self, spos) -> list[Triple]:
         """Id tuples to Triples, in canonical order."""
@@ -312,13 +311,13 @@ class TripleStore:
         return [Triple(terms[s], terms[p], terms[o]) for s, p, o in ordered]
 
     def candidate_count(self, pattern: TriplePattern) -> int:
-        """Size of the index set ``match`` scans: a bound on its result size."""
+        """Size of the index bucket ``match`` scans: a bound on its result size."""
         return len(self._lookup(pattern)[1])
 
     def match(self, pattern: TriplePattern) -> list[Triple]:
         """All triples unifying with the pattern, in canonical order."""
-        (_, _, o), candidates = self._lookup(pattern)
-        return self._decoded(t for t in candidates if o is None or t[2] == o)
+        (_, p, o), candidates = self._lookup(pattern)
+        return self._decoded(t for t in candidates if p in (None, t[1]) and o in (None, t[2]))
 
 
 # --- Turtle-subset lexer/parser ---------------------------------------------

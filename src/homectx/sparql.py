@@ -25,7 +25,6 @@ from .rdf import (
     TripleStore,
     Variable,
     _Lexer,
-    _EMPTY,
     _PNAME_RE,
     term_key,
     xsd,
@@ -226,7 +225,7 @@ def _solutions(store: TripleStore, patterns: list) -> tuple[dict, list[tuple]]:
     A solution is a tuple of ids with one slot per term: the patterns'
     constants first, then each variable in the order the plan binds it.
     Returns the slot of each term and the solutions.  A literal bound into
-    a subject or predicate slot matches nothing, since no index holds a
+    a subject or predicate slot matches nothing, since no triple holds a
     literal's id there.
     """
     slots: dict = {}
@@ -240,8 +239,9 @@ def _solutions(store: TripleStore, patterns: list) -> tuple[dict, list[tuple]]:
         known = tuple(term in slots for term in terms)
         positions, index = store.index_for(known)
         key = _tuple_getter([slots[terms[k]] for k in positions])
-        # a known object outside the index key is checked per candidate
-        check = slots[terms[2]] if known[2] and 2 not in positions else None
+        # a known predicate or object outside the key is checked per candidate
+        check_p, check_o = (slots[terms[k]] if known[k] and k not in positions else None
+                            for k in (1, 2))
         new, repeats = [], []  # positions binding a variable; a repeat must match
         for k in range(3):
             if not known[k]:
@@ -255,8 +255,9 @@ def _solutions(store: TripleStore, patterns: list) -> tuple[dict, list[tuple]]:
         get = index.get
         next_rows = []
         for row in rows:
-            for t in get(key(row), _EMPTY):
-                if check is not None and t[2] != row[check]:
+            for t in get(key(row), ()):
+                if (check_p is not None and t[1] != row[check_p]
+                        or check_o is not None and t[2] != row[check_o]):
                     continue
                 if repeats and any(t[k] != t[j] for k, j in repeats):
                     continue

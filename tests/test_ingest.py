@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import socket
@@ -39,6 +40,7 @@ from homectx.ingest import (
 )
 from homectx.ontology import ModelError, TimeOfDay
 from homectx.rdf import TripleStore, home, term_key
+from homectx.sparql import evaluate, parse_query
 
 FIG_COMMANDS_18H = {
     ("TV", False), ("AirConditioner", True), ("Light", True), ("Projector", True),
@@ -199,6 +201,25 @@ class TestReasonAt:
         assert commands["TV"]["state"] is True
         assert commands["TV"]["person"] == "Father"
         assert commands["TV"]["priority"] == 8
+
+    def test_longest_priority_is_read_under_the_lowest_digit_limit(self, fixture_text):
+        # 640 digits, read by int() and written by json under any limit
+        longest = "9" * rdf.MAX_INTEGER_DIGITS
+        store = TripleStore(rdf.parse_data(fixture_text.replace(
+            '"8"^^xsd:positiveInteger', f'"{longest}"^^xsd:positiveInteger')))
+        ContextEngine(store)  # the home model is valid
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(rdf.MAX_INTEGER_DIGITS)
+        try:
+            commands = reason_at(store, TimeOfDay(20, 0, 0))
+            wire = json.loads(json.dumps(commands))
+            rows = evaluate(store, parse_query(
+                "SELECT ?p WHERE { ?s :hasPriority ?p . } ORDER BY DESC(?p)")).rows
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(commands) == 4
+        assert all((c["person"], c["priority"]) == ("Father", int(longest)) for c in wire)
+        assert [p.lexical for (p,) in rows] == [longest, "5"]
 
     def test_model_errors_propagate(self):
         # checked once, where the model enters the engine, not per reasoning
@@ -465,6 +486,34 @@ class TestHandleReading:
                 for i in range(5)]
         assert len(acks) == 5
         assert all(a["type"] == "ack" for a in acks)
+
+    def test_bytes_kept_per_stored_reading(self, fixture_store):
+        # one stream at the four slots of successive days with Son present,
+        # each reading far enough from the last to be stored: six triples
+        # and three new double literals a reading.  Three list-bucket indexes
+        # keep 2,800-3,200 B a reading here on Python 3.10-3.13; set buckets
+        # and an index on (subject, predicate) kept over 6,000 B.
+        n = 3000
+        rng = random.Random(3)
+        msgs = [reading_msg(time=HOME_SLOTS[i % 4], present=("Son",),
+                            date=(date(2007, 4, 12) + timedelta(days=i // 4)).isoformat(),
+                            temp=(20.0 + 10 * (i % 2)) * rng.uniform(0.97, 1.03),
+                            hum=40.0 * rng.uniform(0.9, 1.1), illum=300.0 * rng.uniform(0.85, 1.15))
+                for i in range(n)]
+        engine = ContextEngine(fixture_store)
+        triples = len(engine.store)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for msg in msgs:
+                engine.handle_reading(msg)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert engine.stored_count == n
+        assert len(engine.store) - triples == 6 * n
+        assert kept / n <= 3500
 
 
 class TestHandleTick:

@@ -50,6 +50,8 @@ class TestTerms:
         ("\u0661", "double"),
         (" 1", "double"),
         ("1_0", "double"),
+        pytest.param("1" * 5000, "positiveInteger", id="5000-digits"),
+        pytest.param("0" * rdf.MAX_INTEGER_DIGITS + "1", "positiveInteger", id="641-digits"),
     ])
     def test_invalid_lexical_forms(self, lex, dt):
         with pytest.raises(ValueError, match="invalid lexical"):
@@ -223,6 +225,19 @@ class TestParser:
     def test_bad_lexical_is_parse_error(self):
         with pytest.raises(ParseError, match="invalid lexical"):
             rdf.parse_data(':a :b "maybe"^^xsd:boolean .')
+
+    def test_integer_past_the_digit_cap_is_invalid_lexical(self):
+        # not int()'s "Exceeds the limit (4300 digits)" message
+        digits = "1" * 5000
+        with pytest.raises(ParseError) as exc:
+            rdf.parse_data(f':a :b "{digits}"^^xsd:positiveInteger .')
+        assert exc.value.message == (
+            f"invalid lexical form {digits!r} for xsd:positiveInteger")
+
+    def test_longest_integer_is_read(self):
+        for lex in ("9" * rdf.MAX_INTEGER_DIGITS, "0" * (rdf.MAX_INTEGER_DIGITS - 1) + "7"):
+            [t] = rdf.parse_data(f':a :b "{lex}"^^xsd:positiveInteger .')
+            assert t.object.lexical == lex
 
     def test_user_prefix_resolving_to_home_namespace(self):
         text = f'@prefix h: <{rdf.HOME_NS}> .\nh:Father :name "John"^^xsd:string .'

@@ -1,9 +1,12 @@
+import itertools
 import random
 import re
 from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     HOME_SLOTS,
@@ -17,6 +20,7 @@ from homectx.rdf import (
     Literal,
     ParseError,
     Triple,
+    TriplePattern,
     TripleStore,
     Variable,
     home,
@@ -24,6 +28,7 @@ from homectx.rdf import (
     xsd,
 )
 from homectx.sparql import (
+    Query,
     QueryError,
     evaluate,
     format_results,
@@ -281,6 +286,54 @@ class TestPlanner:
             store = rand_store(rng, 50)
             pattern = rand_pattern(rng, variables)
             assert store.candidate_count(pattern) >= len(store.match(pattern))
+
+
+# Three IRIs that may stand in any position, so that a subject carries
+# several predicates, objects repeat and ``?a ?a ?a`` can match; a constant
+# may also be a term no triple holds.
+_IRIS = [home(f"n{i}") for i in range(3)]
+_OBJECTS = _IRIS + [Literal("1", xsd("positiveInteger")), Literal("x", xsd("string"))]
+_ABSENT = home("absent")
+_STORES = st.lists(st.tuples(*map(st.sampled_from, (_IRIS, _IRIS, _OBJECTS))), max_size=24)
+_CONSTANTS = st.tuples(*map(st.sampled_from, (_IRIS + [_ABSENT], _IRIS + [_ABSENT],
+                                               _OBJECTS + [_ABSENT])))
+_NAMES = st.tuples(*[st.sampled_from("ab")] * 3)  # variables repeat within a pattern
+_SHAPES = list(itertools.product((False, True), repeat=3))
+
+
+def shaped(constants, names, shape) -> TriplePattern:
+    """The pattern knowing ``constants[k]`` where ``shape[k]``, else ``?names[k]``."""
+    return TriplePattern(*(c if known else Variable(name)
+                           for c, name, known in zip(constants, names, shape)))
+
+
+class TestStoreReferee:
+    """Every lookup shape, against the linear scan and the brute-force join."""
+
+    @given(_STORES, _CONSTANTS, _NAMES, _CONSTANTS, _NAMES, st.sampled_from(_SHAPES))
+    @settings(max_examples=300, deadline=None)
+    def test_every_shape_matches_brute_force(self, rows, constants, names,
+                                             other_constants, other_names, other_shape):
+        triples = {Triple(*row) for row in rows}
+        store = TripleStore(triples)
+        other = shaped(other_constants, other_names, other_shape)
+        for shape in _SHAPES:
+            pattern = shaped(constants, names, shape)
+            # match reads every variable as a wildcard, repeated or not
+            scan = sorted((t for t in triples
+                           if all(not known or term == c for term, c, known
+                                  in zip((t.subject, t.predicate, t.object), constants, shape))),
+                          key=Triple.sort_key)
+            assert store.match(pattern) == scan
+            assert store.candidate_count(pattern) >= len(scan)
+            # the join binds each variable once; with ``other`` it probes
+            # by ids that earlier patterns bound
+            for patterns in ([pattern], [pattern, other]):
+                bound = sorted({v.name for p in patterns for v in p.variables()})
+                if bound:
+                    query = Query(False, [Variable(name) for name in bound], patterns)
+                    assert (Counter(evaluate(store, query).rows)
+                            == Counter(brute_force_rows(list(triples), query)))
 
 
 class TestFormat:
