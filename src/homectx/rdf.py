@@ -222,11 +222,11 @@ class TripleStore:
     indexes.
 
     Each term is interned to an int id once, when ``insert`` first sees it:
-    ``terms[i]`` is the term with id ``i`` and ``term_keys[i]`` its
-    ``term_key``.  A triple is held only as its ``(s, p, o)`` id tuple.  Each
-    index maps the tuple of ids at its key positions to a list of the id
-    tuples holding them, each once.  ``match`` decodes ids to Triples only at
-    its output; the SPARQL join probes the indexes on ids (``index_for``).
+    ``terms[i]`` is the term with id ``i``, and nothing else is kept per
+    term.  A triple is held only as its ``(s, p, o)`` id tuple.  Each index
+    maps the tuple of ids at its key positions to a list of the id tuples
+    holding them, each once.  ``match`` decodes ids to Triples only at its
+    output; the SPARQL join probes the indexes on ids (``index_for``).
 
     Not thread-safe: callers serialize all access, reads included, since a
     read iterates index buckets that an insert may grow.  ContextEngine
@@ -235,9 +235,7 @@ class TripleStore:
 
     def __init__(self, triples=()):
         self.terms: list[Term] = []
-        self.term_keys: list[tuple] = []
         self._ids: dict[Term, int] = {}
-        self._by_datatype: dict[Iri, set[int]] = {}
         self._spo: set[tuple[int, int, int]] = set()
         self._by_s, self._by_p, self._by_po = {}, {}, {}
         self._indexes = {(0,): self._by_s, (1,): self._by_p, (1, 2): self._by_po,
@@ -260,9 +258,6 @@ class TripleStore:
         if i is None:
             i = self._ids[term] = len(self.terms)
             self.terms.append(term)
-            self.term_keys.append(term_key(term))
-            if isinstance(term, Literal):
-                self._by_datatype.setdefault(term.datatype, set()).add(i)
         return i
 
     def insert(self, t: Triple) -> bool:
@@ -284,10 +279,6 @@ class TripleStore:
         """The term's id; -1, which no triple holds, for a term not in the store."""
         return self._ids.get(term, -1)
 
-    def literal_ids(self, datatype: Iri):
-        """Ids of the stored literals of ``datatype``."""
-        return self._by_datatype.get(datatype, ())
-
     def index_for(self, known) -> tuple[tuple, dict]:
         """(positions, index) for a pattern that knows the ids at the
         ``known`` positions, a (subject, predicate, object) triple of bools.
@@ -306,9 +297,9 @@ class TripleStore:
 
     def _decoded(self, spos) -> list[Triple]:
         """Id tuples to Triples, in canonical order."""
-        keys, terms = self.term_keys, self.terms
-        ordered = sorted(spos, key=lambda t: (keys[t[0]], keys[t[1]], keys[t[2]]))
-        return [Triple(terms[s], terms[p], terms[o]) for s, p, o in ordered]
+        terms = self.terms
+        return sorted((Triple(terms[s], terms[p], terms[o]) for s, p, o in spos),
+                      key=Triple.sort_key)
 
     def candidate_count(self, pattern: TriplePattern) -> int:
         """Size of the index bucket ``match`` scans: a bound on its result size."""

@@ -277,13 +277,17 @@ def _order_value(term):
 def evaluate(store: TripleStore, query: Query) -> ResultTable:
     """Evaluate the query: join, filter, project, DISTINCT, sort.
 
-    Everything runs on ids; terms are decoded for the output rows only.
+    Everything runs on ids.  The filter and the sorts read the term of each
+    distinct id they meet once, and terms are decoded for the output rows.
     Each row carries the ids of its ORDER BY keys, projected or not, out of
     the one join.  Ties on every key fall back to the row's own terms.
     """
     slots, rows = _solutions(store, query.patterns)
+    terms = store.terms
     for f in query.filters:
-        ids, slot = store.literal_ids(f.datatype), slots[f.variable]
+        slot = slots[f.variable]
+        ids = {i for i in {r[slot] for r in rows}
+               if isinstance(terms[i], Literal) and terms[i].datatype == f.datatype}
         rows = [r for r in rows if r[slot] in ids]
     columns = [*query.projection, *(k.variable for k in query.order_keys)]
     project = _tuple_getter([slots[v] for v in columns])
@@ -292,19 +296,19 @@ def evaluate(store: TripleStore, query: Query) -> ResultTable:
     if query.distinct:
         rows = list(dict.fromkeys(rows))  # exact (row, keys) duplicates
     # each id's rank in the canonical term order, among the ids in the rows
-    ranked = sorted(set().union(*rows), key=store.term_keys.__getitem__)
+    ranked = sorted(set().union(*rows), key=lambda i: term_key(terms[i]))
     rank = dict(zip(ranked, range(len(ranked)))).__getitem__
     rows.sort(key=lambda r: tuple(map(rank, r[:width])))
     # stable sorts, last key first, give the lexicographic key order
     for i in reversed(range(len(query.order_keys))):
         column = width + i
-        value = {j: _order_value(store.terms[j]) for j in {r[column] for r in rows}}
+        value = {j: _order_value(terms[j]) for j in {r[column] for r in rows}}
         rows.sort(key=lambda r: value[r[column]],
                   reverse=query.order_keys[i].descending)
     rows = [r[:width] for r in rows]
     if query.distinct:
         rows = list(dict.fromkeys(rows))  # each row at its first occurrence
-    decode = store.terms.__getitem__
+    decode = terms.__getitem__
     return ResultTable(header=list(query.projection),
                        rows=[tuple(map(decode, r)) for r in rows])
 

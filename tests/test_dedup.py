@@ -6,7 +6,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from conftest import rand_reading
+from conftest import rand_reading, reference_decision
 from homectx.dedup import (
     DedupConfig,
     load_threshold_overrides,
@@ -154,33 +154,6 @@ class TestShouldStore:
                 or curr.date != prev.date
             )
             assert should_store(prev, curr, CFG).store is expect
-
-
-def reference_decision(prev, curr, cfg):
-    """The straightforward dedup loop, kept as the referee for should_store:
-    the delta formula per factor, the categorical-or-threshold rule, then the
-    root of the squares summed in factor order.  Returns (store, distance,
-    deltas as (name, d, exceeded))."""
-    values = {"temperature": lambda r: r.temperature,
-              "illumination": lambda r: r.illumination,
-              "humidity": lambda r: r.humidity,
-              "presence": lambda r: r.persons_present,
-              "date": lambda r: r.date}
-    thresholds = {"temperature": cfg.temperature, "illumination": cfg.illumination,
-                  "humidity": cfg.humidity, "presence": None, "date": None}
-    deltas = []
-    for name in values:  # the factor order
-        get, threshold = values[name], thresholds[name]
-        if threshold is None:
-            d = 0.0 if get(prev) == get(curr) else 1.0
-        else:
-            d = abs(get(curr) - get(prev)) / max(abs(get(prev)), 1e-9)
-        exceeded = d == 1.0 if threshold is None else d > threshold
-        deltas.append((name, d, exceeded))
-    total = 0.0
-    for _, d, _ in deltas:
-        total += d ** 2
-    return any(e for _, _, e in deltas), math.sqrt(total), deltas
 
 
 def oracle_pairs(rng, n):

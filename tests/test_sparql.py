@@ -28,6 +28,7 @@ from homectx.rdf import (
     xsd,
 )
 from homectx.sparql import (
+    FilterExpr,
     Query,
     QueryError,
     evaluate,
@@ -299,6 +300,8 @@ _CONSTANTS = st.tuples(*map(st.sampled_from, (_IRIS + [_ABSENT], _IRIS + [_ABSEN
                                                _OBJECTS + [_ABSENT])))
 _NAMES = st.tuples(*[st.sampled_from("ab")] * 3)  # variables repeat within a pattern
 _SHAPES = list(itertools.product((False, True), repeat=3))
+# Filter datatypes: two that stored literals have and one that none has.
+_FILTER_TYPES = [xsd("positiveInteger"), xsd("string"), xsd("boolean")]
 
 
 def shaped(constants, names, shape) -> TriplePattern:
@@ -310,10 +313,12 @@ def shaped(constants, names, shape) -> TriplePattern:
 class TestStoreReferee:
     """Every lookup shape, against the linear scan and the brute-force join."""
 
-    @given(_STORES, _CONSTANTS, _NAMES, _CONSTANTS, _NAMES, st.sampled_from(_SHAPES))
+    @given(_STORES, _CONSTANTS, _NAMES, _CONSTANTS, _NAMES, st.sampled_from(_SHAPES),
+           st.sampled_from("ab"), st.sampled_from(_FILTER_TYPES))
     @settings(max_examples=300, deadline=None)
     def test_every_shape_matches_brute_force(self, rows, constants, names,
-                                             other_constants, other_names, other_shape):
+                                             other_constants, other_names, other_shape,
+                                             filtered, datatype):
         triples = {Triple(*row) for row in rows}
         store = TripleStore(triples)
         other = shaped(other_constants, other_names, other_shape)
@@ -327,13 +332,17 @@ class TestStoreReferee:
             assert store.match(pattern) == scan
             assert store.candidate_count(pattern) >= len(scan)
             # the join binds each variable once; with ``other`` it probes
-            # by ids that earlier patterns bound
+            # by ids that earlier patterns bound; the filter keeps the rows
+            # whose variable holds a literal of ``datatype``
             for patterns in ([pattern], [pattern, other]):
                 bound = sorted({v.name for p in patterns for v in p.variables()})
                 if bound:
-                    query = Query(False, [Variable(name) for name in bound], patterns)
-                    assert (Counter(evaluate(store, query).rows)
-                            == Counter(brute_force_rows(list(triples), query)))
+                    plain = Query(False, [Variable(name) for name in bound], patterns)
+                    check = FilterExpr(Variable(filtered if filtered in bound else bound[0]),
+                                       datatype)
+                    for query in (plain, replace(plain, filters=[check])):
+                        assert (Counter(evaluate(store, query).rows)
+                                == Counter(brute_force_rows(list(triples), query)))
 
 
 class TestFormat:
