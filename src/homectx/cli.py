@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import dedup, ingest, ontology, rdf, sparql
@@ -19,7 +18,8 @@ FIXTURE_NAME = "home_fixture.ttl"
 
 
 def fixture_path() -> Path:
-    return Path(resources.files("homectx.data") / FIXTURE_NAME)
+    # where importlib.resources finds it, without its import of inspect on 3.12+
+    return Path(__file__).with_name("data") / FIXTURE_NAME
 
 
 def _load_store(paths) -> rdf.TripleStore:

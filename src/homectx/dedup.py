@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, replace
 from math import inf, isfinite, sqrt
 from typing import NamedTuple, Optional
 
 from .ontology import EnvironmentReading
+from .rdf import Value
 
 EPSILON = 1e-9
 MAX_DISTANCE = sys.float_info.max
@@ -35,19 +35,17 @@ class DedupDecision(NamedTuple):
     deltas: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class DedupConfig:
+class DedupConfig(Value):
     """Thresholds of the numeric factors; None makes one categorical."""
 
-    temperature: Optional[float] = 0.1
-    illumination: Optional[float] = 0.5
-    humidity: Optional[float] = 0.35
+    __slots__ = _fields = ("temperature", "illumination", "humidity")
 
-    def __post_init__(self):
-        for name in NUMERIC_FACTORS:
-            threshold = getattr(self, name)
+    def __init__(self, temperature: Optional[float] = 0.1, illumination: Optional[float] = 0.5,
+                 humidity: Optional[float] = 0.35):
+        for name, threshold in zip(NUMERIC_FACTORS, (temperature, illumination, humidity)):
             if threshold is not None and not (isfinite(threshold) and threshold >= 0):
                 raise ValueError(f"threshold for {name} must be finite and >= 0")
+        self._init(temperature, illumination, humidity)
 
 
 def load_threshold_overrides(path) -> DedupConfig:
@@ -60,7 +58,7 @@ def load_threshold_overrides(path) -> DedupConfig:
             raise ValueError("threshold file nests too deeply") from None
     if not isinstance(overrides, dict):
         raise ValueError("threshold file must hold a JSON object")
-    cfg = DedupConfig()
+    thresholds = {}
     for name in FACTORS:
         if name not in overrides:
             continue
@@ -72,9 +70,10 @@ def load_threshold_overrides(path) -> DedupConfig:
         else:
             value = float(value)
         if name in NUMERIC_FACTORS:
-            cfg = replace(cfg, **{name: value})
+            thresholds[name] = value
         elif value is not None:  # compared by equality only
             raise ValueError(f'threshold for {name} must be "categorical"')
+    cfg = DedupConfig(**thresholds)
     extra = set(overrides) - set(FACTORS)
     if extra:
         raise ValueError(f"unknown factors in threshold file: {sorted(extra)}")

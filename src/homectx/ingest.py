@@ -15,7 +15,6 @@ import json
 import socketserver
 import sys
 import threading
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from .dedup import DedupConfig, should_store
@@ -26,7 +25,7 @@ from .ontology import (
     load_home_model,
     reading_to_triples,
 )
-from .rdf import PN_LOCAL_RE, Iri, TripleStore, home, parse_date, term_key
+from .rdf import PN_LOCAL_RE, Iri, TripleStore, Value, home, parse_date, term_key
 from .sparql import Query, evaluate, parse_query, substitute
 
 
@@ -62,8 +61,9 @@ WHERE {
 def preference_query(t: TimeOfDay) -> Query:
     """The query parsed once above, with ``t``'s IRI for ``?time``: a
     constant the join planner can see."""
-    patterns = [substitute(p, {"time": t.iri}) for p in _PREFERENCE_QUERY.patterns]
-    return replace(_PREFERENCE_QUERY, patterns=patterns)
+    q = _PREFERENCE_QUERY
+    return Query(q.distinct, q.projection, [substitute(p, {"time": t.iri}) for p in q.patterns],
+                 q.filters, q.order_keys)
 
 
 def reason_at(store: TripleStore, t: TimeOfDay) -> list[dict]:
@@ -309,11 +309,11 @@ def serve(address, store: TripleStore, cfg: DedupConfig | None = None):
         server.server_close()
 
 
-@dataclass
-class ReplayStats:
-    input_count: int = 0
-    stored_count: int = 0
-    commands: list = field(default_factory=list)
+class ReplayStats(Value):
+    __slots__ = _fields = ("input_count", "stored_count", "commands")
+
+    def __init__(self, input_count: int, stored_count: int, commands: list):
+        self._init(input_count, stored_count, commands)
 
     @property
     def commands_emitted(self) -> int:

@@ -10,12 +10,11 @@ onto triples and back (``reading_to_triples``/``triples_to_reading``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date as Date
 from functools import lru_cache
 from math import inf
 
-from .rdf import (Iri, Literal, Triple, TriplePattern, TripleStore, Variable, home,
+from .rdf import (Iri, Literal, Triple, TriplePattern, TripleStore, Value, Variable, home,
                   parse_date, xsd)
 
 P_NAME = home("name")
@@ -47,16 +46,13 @@ class ModelError(ValueError):
     """Raised when triples cannot be interpreted as a valid home model."""
 
 
-@dataclass(frozen=True)
-class TimeOfDay:
-    hour: int
-    minute: int
-    second: int
+class TimeOfDay(Value):
+    __slots__ = _fields = ("hour", "minute", "second")
 
-    def __post_init__(self):
-        if not (0 <= self.hour <= 23 and 0 <= self.minute <= 59
-                and 0 <= self.second <= 59):
-            raise ValueError(f"invalid time of day {self.hour}:{self.minute}:{self.second}")
+    def __init__(self, hour: int, minute: int, second: int):
+        if not (0 <= hour <= 23 and 0 <= minute <= 59 and 0 <= second <= 59):
+            raise ValueError(f"invalid time of day {hour}:{minute}:{second}")
+        self._init(hour, minute, second)
 
     @property
     def label(self) -> str:
@@ -78,20 +74,14 @@ class TimeOfDay:
         return TimeOfDay(int(digits[0:2]), int(digits[2:4]), int(digits[4:6]))
 
 
-@dataclass(frozen=True)
-class EnvironmentReading:
+class EnvironmentReading(Value):
     """One timestamped sensor snapshot; the id is derived from date + time."""
 
-    humidity: float
-    temperature: float
-    illumination: float
-    date: Date
-    time: TimeOfDay
-    persons_present: frozenset[Iri] = frozenset()
+    _fields = ("humidity", "temperature", "illumination", "date", "time", "persons_present")
 
     def __init__(self, humidity: float, temperature: float, illumination: float,
                  date: Date, time: TimeOfDay, persons_present: frozenset[Iri] = frozenset()):
-        """Kept by dataclass: the value checks, then one update, not a __setattr__ per field."""
+        """The value checks, then one dict update: cheaper than a slot set per field."""
         if not 0 <= humidity <= 100:
             raise ValueError(f"humidity out of range: {humidity}")
         if illumination < 0:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from datetime import date as _date
 from typing import Iterator, Union
 
@@ -35,16 +34,65 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Iri:
+_set = object.__setattr__
+
+
+class Value:
+    """Base of the value classes: equality within one class, hashing, ``repr``,
+    copying and immutability, over the fields ``_fields`` names in order."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _init(self, *values):
+        """Set the fields, in order; the hot constructors inline this."""
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Iri(Value):
     """A resource name, split into namespace and local part."""
 
-    namespace: str
-    local: str
+    __slots__ = _fields = ("namespace", "local")
 
-    def __post_init__(self):
-        if not self.local:
+    def __init__(self, namespace: str, local: str):
+        if not local:
             raise ValueError("IRI local name must be non-empty")
+        _set(self, "namespace", namespace)
+        _set(self, "local", local)
+
+    # The store interns terms in a dict, so these two skip _values.
+    def __eq__(self, other):
+        if other.__class__ is not Iri:
+            return NotImplemented
+        return self.namespace == other.namespace and self.local == other.local
+
+    def __hash__(self):
+        return hash((self.namespace, self.local))
 
     @property
     def written(self) -> str:
@@ -116,21 +164,27 @@ DATATYPE_VALIDATORS = {
 }
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(Value):
     """A typed literal value; equality is structural on (lexical, datatype)."""
 
-    lexical: str
-    datatype: Iri
+    __slots__ = _fields = ("lexical", "datatype")
 
-    def __post_init__(self):
-        validator = DATATYPE_VALIDATORS.get(self.datatype)
+    def __init__(self, lexical: str, datatype: Iri):
+        validator = DATATYPE_VALIDATORS.get(datatype)
         if validator is None:
-            raise ValueError(f"unsupported literal datatype {self.datatype.written}")
-        if not validator(self.lexical):
-            raise ValueError(
-                f"invalid lexical form {self.lexical!r} for {self.datatype.written}"
-            )
+            raise ValueError(f"unsupported literal datatype {datatype.written}")
+        if not validator(lexical):
+            raise ValueError(f"invalid lexical form {lexical!r} for {datatype.written}")
+        _set(self, "lexical", lexical)
+        _set(self, "datatype", datatype)
+
+    def __eq__(self, other):
+        if other.__class__ is not Literal:
+            return NotImplemented
+        return self.lexical == other.lexical and self.datatype == other.datatype
+
+    def __hash__(self):
+        return hash((self.lexical, self.datatype))
 
     @property
     def written(self) -> str:
@@ -150,31 +204,31 @@ def term_key(term: Term):
     return (1, term.datatype.namespace, term.datatype.local, term.lexical)
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
+class Variable(Value):
+    __slots__ = _fields = ("name",)
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str):
+        if not name:
             raise ValueError("variable name must be non-empty")
+        _set(self, "name", name)
 
     def __repr__(self):
         return f"?{self.name}"
 
 
-@dataclass(frozen=True)
-class Triple:
-    subject: Iri
-    predicate: Iri
-    object: Term
+class Triple(Value):
+    __slots__ = _fields = ("subject", "predicate", "object")
 
-    def __post_init__(self):
-        if not isinstance(self.subject, Iri):
+    def __init__(self, subject: Iri, predicate: Iri, object: Term):
+        if not isinstance(subject, Iri):
             raise ValueError("triple subject must be an IRI")
-        if not isinstance(self.predicate, Iri):
+        if not isinstance(predicate, Iri):
             raise ValueError("triple predicate must be an IRI")
-        if not isinstance(self.object, (Iri, Literal)):
+        if not isinstance(object, (Iri, Literal)):
             raise ValueError("triple object must be an IRI or literal")
+        _set(self, "subject", subject)
+        _set(self, "predicate", predicate)
+        _set(self, "object", object)
 
     def sort_key(self):
         return (term_key(self.subject), term_key(self.predicate), term_key(self.object))
@@ -183,21 +237,19 @@ class Triple:
 PatternTerm = Union[Iri, Literal, Variable]
 
 
-@dataclass(frozen=True)
-class TriplePattern:
+class TriplePattern(Value):
     """A triple with variables allowed in any position (predicate included)."""
 
-    subject: PatternTerm
-    predicate: PatternTerm
-    object: PatternTerm
+    __slots__ = _fields = ("subject", "predicate", "object")
 
-    def __post_init__(self):
-        if not isinstance(self.subject, (Iri, Variable)):
+    def __init__(self, subject: PatternTerm, predicate: PatternTerm, object: PatternTerm):
+        if not isinstance(subject, (Iri, Variable)):
             raise ValueError("pattern subject must be an IRI or variable")
-        if not isinstance(self.predicate, (Iri, Variable)):
+        if not isinstance(predicate, (Iri, Variable)):
             raise ValueError("pattern predicate must be an IRI or variable")
-        if not isinstance(self.object, (Iri, Literal, Variable)):
+        if not isinstance(object, (Iri, Literal, Variable)):
             raise ValueError("pattern object must be a term or variable")
+        self._init(subject, predicate, object)
 
     def variables(self) -> set[Variable]:
         return {p for p in (self.subject, self.predicate, self.object)

@@ -14,7 +14,6 @@ terms are decoded for the result rows only.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .rdf import (
@@ -23,6 +22,7 @@ from .rdf import (
     Term,
     TriplePattern,
     TripleStore,
+    Value,
     Variable,
     _Lexer,
     _PNAME_RE,
@@ -44,27 +44,30 @@ class QueryError(ValueError):
     """Semantic error in an otherwise well-formed query."""
 
 
-@dataclass(frozen=True)
-class FilterExpr:
+class FilterExpr(Value):
     """datatype(?variable) = datatype-IRI"""
 
-    variable: Variable
-    datatype: Iri
+    __slots__ = _fields = ("variable", "datatype")
+
+    def __init__(self, variable: Variable, datatype: Iri):
+        self._init(variable, datatype)
 
 
-@dataclass(frozen=True)
-class OrderKey:
-    variable: Variable
-    descending: bool
+class OrderKey(Value):
+    __slots__ = _fields = ("variable", "descending")
+
+    def __init__(self, variable: Variable, descending: bool):
+        self._init(variable, descending)
 
 
-@dataclass
-class Query:
-    distinct: bool
-    projection: list  # of Variable, in written order
-    patterns: list    # of TriplePattern, in written order
-    filters: list = field(default_factory=list)
-    order_keys: list = field(default_factory=list)
+class Query(Value):
+    __slots__ = _fields = ("distinct", "projection", "patterns", "filters", "order_keys")
+
+    def __init__(self, distinct: bool, projection: list[Variable],
+                 patterns: list[TriplePattern], filters: list[FilterExpr] | None = None,
+                 order_keys: list[OrderKey] | None = None):
+        self._init(distinct, projection, patterns, [] if filters is None else filters,
+                   [] if order_keys is None else order_keys)
 
     def validate(self):
         if not self.projection:
@@ -80,10 +83,11 @@ class Query:
                     raise QueryError(f"variable ?{v.name} {what} but never bound")
 
 
-@dataclass
-class ResultTable:
-    header: list   # of Variable
-    rows: list     # of tuples of Term, one per projected variable
+class ResultTable(Value):
+    __slots__ = _fields = ("header", "rows")
+
+    def __init__(self, header: list[Variable], rows: list[tuple[Term, ...]]):
+        self._init(header, rows)
 
 
 # --- parsing -----------------------------------------------------------------

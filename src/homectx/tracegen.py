@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+
+from .rdf import Value
 
 # Noise amplitudes, relative to each stream's base value, and the date of
 # every reading.  The amplitudes sit below the default DedupConfig thresholds,
@@ -21,15 +22,14 @@ HUMIDITY_NOISE = 0.15
 START_DATE = "2007-04-11"
 
 
-@dataclass
-class TraceParams:
-    """Knobs for gen_trace."""
+class TraceParams(Value):
+    """Knobs for gen_trace; duration in seconds, rate in readings/s per stream."""
 
-    streams: int = 10
-    duration: int = 3600        # seconds
-    rate: int = 1               # readings per second per stream
-    events: int = 20
-    seed: int = 42
+    __slots__ = _fields = ("streams", "duration", "rate", "events", "seed")
+
+    def __init__(self, streams: int = 10, duration: int = 3600, rate: int = 1,
+                 events: int = 20, seed: int = 42):
+        self._init(streams, duration, rate, events, seed)
 
     def validate(self):
         if self.streams < 1 or self.duration < 1 or self.rate < 1:

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import threading
@@ -17,6 +18,14 @@ def start_server(address, engine: ContextEngine) -> ContextServer:
     server = ContextServer(address, engine)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     return server
+
+
+def rebuilt(value, **changes):
+    """``value``'s class built anew through its constructor, from the fields
+    its parameters name, with ``changes`` applied: every value check runs
+    again, as it did under ``dataclasses.replace``."""
+    fields = {name: getattr(value, name) for name in inspect.signature(type(value)).parameters}
+    return type(value)(**{**fields, **changes})
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,8 @@ must be referenced from another definition in ``src/``, or be an entry
 point: ``cli.main`` and each name the benchmark under ``bench/`` reads or
 patches.  A dunder is called by the language, and a method that overrides
 one its class inherits is called by the base class.  Every field of a
-dataclass or NamedTuple must be read as an attribute in ``src/`` or
+dataclass or NamedTuple, and every name in the ``__slots__`` or ``_fields``
+tuple of a plain class, must be read as an attribute in ``src/`` or
 ``bench/``.  References are matched by name, not by binding, so a name
 shared with an unrelated attribute counts as used: the check finds code
 nothing calls, not every misuse.
@@ -120,11 +121,23 @@ def test_guard_sees_a_definition_only_tests_call(tmp_path, monkeypatch):
         "sample_callers.recursive", "sample_callers.Box.spare"]
 
 
-def is_record(node: ast.ClassDef) -> bool:
-    """Whether a class is a dataclass or a NamedTuple."""
+def record_fields(node: ast.ClassDef) -> list:
+    """The field names of a record class, [] for another class: the names in
+    the tuple a class assigns to ``__slots__`` or ``_fields``, or else the
+    annotated names of a dataclass or a NamedTuple."""
+    named = [item.value for item in node.body if isinstance(item, ast.Assign)
+             for target in item.targets
+             if isinstance(target, ast.Name) and target.id in ("__slots__", "_fields")]
+    if named:
+        # a tuple of string literals, so that no field goes unchecked
+        assert all(isinstance(v, ast.Tuple) for v in named), f"{node.name}: not a tuple"
+        return list(dict.fromkeys(ast.literal_eval(v) for value in named for v in value.elts))
     marks = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-    return any((getattr(n, "id", None) or getattr(n, "attr", None))
-               in ("dataclass", "NamedTuple") for n in marks + node.bases)
+    if not any((getattr(n, "id", None) or getattr(n, "attr", None))
+               in ("dataclass", "NamedTuple") for n in marks + node.bases):
+        return []
+    return [item.target.id for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
 
 
 def unread_fields(paths, readers, kept) -> list:
@@ -137,13 +150,12 @@ def unread_fields(paths, readers, kept) -> list:
     found = []
     for path in paths:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if not (isinstance(node, ast.ClassDef) and is_record(node)):
+            if not isinstance(node, ast.ClassDef):
                 continue
-            for item in node.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    qualname = f"{node.name}.{item.target.id}"
-                    if (path.stem, qualname) not in kept and item.target.id not in read:
-                        found.append(f"{path.stem}.{qualname}")
+            for name in record_fields(node):
+                qualname = f"{node.name}.{name}"
+                if (path.stem, qualname) not in kept and name not in read:
+                    found.append(f"{path.stem}.{qualname}")
     return found
 
 
@@ -163,10 +175,13 @@ def test_guard_sees_a_field_only_tests_read(tmp_path):
                     "class Point:\n    x: int\n    y: int\n    label: str = ''\n\n"
                     "class Pair(NamedTuple):\n    left: int\n    right: int\n\n"
                     "class Plain:\n    note: str\n\n"
-                    "def use(point, pair, plain):\n"
+                    "class Slotted:\n    __slots__ = _fields = ('kept', 'spare')\n"
+                    "    def __init__(self):\n        self.kept = self.spare = 0\n\n"
+                    "def use(point, pair, plain, slotted):\n"
                     "    point.label = plain.note = 'written, not read'\n"
-                    "    return point.x + pair.left\n")
+                    "    return point.x + pair.left + slotted.kept\n")
     assert unread_fields([path], [path], set()) == [
-        "sample_fields.Point.y", "sample_fields.Point.label", "sample_fields.Pair.right"]
+        "sample_fields.Point.y", "sample_fields.Point.label", "sample_fields.Pair.right",
+        "sample_fields.Slotted.spare"]
     assert unread_fields([path], [path], {("sample_fields", "Pair.right")}) == [
-        "sample_fields.Point.y", "sample_fields.Point.label"]
+        "sample_fields.Point.y", "sample_fields.Point.label", "sample_fields.Slotted.spare"]

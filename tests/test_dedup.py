@@ -1,12 +1,11 @@
 import json
 import math
 import random
-from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
 
-from conftest import rand_reading, reference_decision
+from conftest import rand_reading, rebuilt, reference_decision
 from homectx.dedup import (
     DedupConfig,
     load_threshold_overrides,
@@ -99,8 +98,8 @@ class TestDistance:
         rng = random.Random(17)
         for _ in range(100):
             a, b = rand_reading(rng), rand_reading(rng)
-            b_same = replace(b, persons_present=a.persons_present)
-            b_diff = replace(b, persons_present=a.persons_present | {home("Visitor")})
+            b_same = rebuilt(b, persons_present=a.persons_present)
+            b_diff = rebuilt(b, persons_present=a.persons_present | {home("Visitor")})
             assert distance(a, b_diff, CFG) >= distance(a, b_same, CFG)
             assert should_store(a, b_diff, CFG).store is True
 
@@ -167,11 +166,11 @@ def oracle_pairs(rng, n):
     for _ in range(n):
         prev = rand_reading(rng)
         if rng.random() < 0.2:
-            prev = replace(prev, illumination=0.0)
+            prev = rebuilt(prev, illumination=0.0)
         if rng.random() < 0.3:
             yield prev, rand_reading(rng)
             continue
-        curr = replace(
+        curr = rebuilt(
             prev,
             temperature=nudge(prev.temperature, 0.12),
             humidity=min(100.0, nudge(prev.humidity, 0.4)),
@@ -179,9 +178,9 @@ def oracle_pairs(rng, n):
             time=TimeOfDay(rng.randint(0, 23), rng.randint(0, 59), rng.randint(0, 59)),
         )
         if rng.random() < 0.1:
-            curr = replace(curr, persons_present=prev.persons_present ^ {home("Son")})
+            curr = rebuilt(curr, persons_present=prev.persons_present ^ {home("Son")})
         if rng.random() < 0.1:
-            curr = replace(curr, date=prev.date + timedelta(days=1))
+            curr = rebuilt(curr, date=prev.date + timedelta(days=1))
         yield prev, curr
 
 
@@ -272,7 +271,7 @@ class TestFilterStream:
         readings = []
         for i in range(200):
             r = rand_reading(rng)
-            readings.append(replace(r, date=base + timedelta(days=i // 50),
+            readings.append(rebuilt(r, date=base + timedelta(days=i // 50),
                                     time=TimeOfDay(i % 24, 0, 0)))
         readings.sort(key=lambda r: (r.date, r.time.hour))
         stored, _ = filter_with_engine([("s", r) for r in readings])

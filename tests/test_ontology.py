@@ -1,12 +1,11 @@
 import random
-from dataclasses import replace
 from datetime import date
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GHOST_MODEL, NON_ASCII_TIMES, home_text, rand_reading
+from conftest import GHOST_MODEL, NON_ASCII_TIMES, home_text, rand_reading, rebuilt
 from homectx import rdf
 from homectx.ingest import ContextEngine
 from homectx.ontology import (
@@ -95,9 +94,9 @@ class TestReadingTriples:
     def test_cached_id_is_per_instance(self):
         r = make_reading()
         assert r.id == home("_070411115500")
-        moved = replace(r, time=TimeOfDay(18, 0, 0))
+        moved = rebuilt(r, time=TimeOfDay(18, 0, 0))
         assert moved.id == home("_070411180000")
-        assert replace(moved, date=date(2008, 1, 2)).id == home("_080102180000")
+        assert rebuilt(moved, date=date(2008, 1, 2)).id == home("_080102180000")
         assert r.id == home("_070411115500")
 
     def test_cached_id_leaves_equality_and_hash(self):
@@ -107,7 +106,7 @@ class TestReadingTriples:
         assert read == fresh and hash(read) == hash(fresh)
         assert len({read, fresh}) == 1
         assert fresh.id == read.id
-        assert read != replace(fresh, time=TimeOfDay(11, 55, 1))
+        assert read != rebuilt(fresh, time=TimeOfDay(11, 55, 1))
 
     def test_round_trip(self):
         r = make_reading()

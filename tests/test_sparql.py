@@ -2,7 +2,6 @@ import itertools
 import random
 import re
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +14,7 @@ from conftest import (
     rand_pattern,
     rand_query,
     rand_store,
+    rebuilt,
 )
 from homectx.rdf import (
     Literal,
@@ -195,7 +195,7 @@ class TestEvaluate:
             store = rand_store(rng, 50)
             query = rand_query(rng)
             expected = brute_force_rows(list(store), query)
-            solutions = evaluate(store, replace(query, distinct=False)).rows
+            solutions = evaluate(store, rebuilt(query, distinct=False)).rows
             assert Counter(solutions) == Counter(expected)
             got = evaluate(store, query)
             if query.distinct:
@@ -266,7 +266,7 @@ class TestPlanner:
         query = paper_query(slot)
         expected = brute_force_rows(list(small_home), query)
         assert expected  # four present persons, all active at the slot
-        solutions = evaluate(small_home, replace(query, distinct=False)).rows
+        solutions = evaluate(small_home, rebuilt(query, distinct=False)).rows
         assert Counter(solutions) == Counter(expected)
 
     def test_preference_rows_independent_of_pattern_order(self, small_home):
@@ -277,7 +277,7 @@ class TestPlanner:
         for _ in range(50):
             shuffled = list(query.patterns)
             rng.shuffle(shuffled)
-            permuted = replace(query, patterns=shuffled)
+            permuted = rebuilt(query, patterns=shuffled)
             assert evaluate(small_home, permuted).rows == reference
 
     def test_candidate_count_bounds_match(self):
@@ -340,7 +340,7 @@ class TestStoreReferee:
                     plain = Query(False, [Variable(name) for name in bound], patterns)
                     check = FilterExpr(Variable(filtered if filtered in bound else bound[0]),
                                        datatype)
-                    for query in (plain, replace(plain, filters=[check])):
+                    for query in (plain, rebuilt(plain, filters=[check])):
                         assert (Counter(evaluate(store, query).rows)
                                 == Counter(brute_force_rows(list(triples), query)))
 
